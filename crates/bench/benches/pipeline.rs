@@ -3,12 +3,25 @@
 //! the harness.
 
 use gopim_graph::datasets::Dataset;
+use gopim_mapping::SelectivePolicy;
 use gopim_pipeline::des::{simulate_des, ReplicaModel};
-use gopim_pipeline::{simulate, GcnWorkload, PipelineOptions, WorkloadOptions};
+use gopim_pipeline::{simulate, GcnWorkload, MappingKind, PipelineOptions, WorkloadOptions};
 use gopim_testkit::bench::Runner;
 
 fn main() {
     let mut runner = Runner::new("pipeline");
+    // The build alone (profile generated once, outside the timing) for
+    // a GoPIM cell on products: interleaved mapping and selective
+    // updating rank the 2.45 M vertices twice and pace 38 k micro-batches.
+    let products = Dataset::Products.profile(7);
+    let gopim = WorkloadOptions {
+        mapping: MappingKind::Interleaved,
+        selective: Some(SelectivePolicy::adaptive(&products)),
+        ..WorkloadOptions::default()
+    };
+    runner.bench("build_workload/products", || {
+        GcnWorkload::build_custom("products", &products, &Dataset::Products.model(), &gopim)
+    });
     for dataset in [Dataset::Ddi, Dataset::Collab] {
         let name = dataset.name();
         runner.bench(&format!("build_workload/{name}"), || {

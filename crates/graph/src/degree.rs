@@ -88,12 +88,37 @@ impl DegreeProfile {
     /// Vertex ids sorted by descending degree (ties broken by ascending
     /// id, so the order is deterministic).
     pub fn vertices_by_degree_desc(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.degrees.len() as u32).collect();
-        ids.sort_by(|&a, &b| {
-            self.degrees[b as usize]
-                .cmp(&self.degrees[a as usize])
-                .then(a.cmp(&b))
-        });
+        let n = self.degrees.len();
+        let max = self.degrees.iter().copied().max().unwrap_or(0) as usize;
+        if max > n {
+            // Counting buckets would outgrow the profile itself.
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            ids.sort_by(|&a, &b| {
+                self.degrees[b as usize]
+                    .cmp(&self.degrees[a as usize])
+                    .then(a.cmp(&b))
+            });
+            return ids;
+        }
+        // Stable counting sort: bucket `max - d` holds degree d, so bucket
+        // 0 is the highest degree; placing ids in ascending order keeps
+        // them ascending within each bucket.
+        let mut next = vec![0usize; max + 1];
+        for &d in &self.degrees {
+            next[max - d as usize] += 1;
+        }
+        let mut offset = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = offset;
+            offset += count;
+        }
+        let mut ids = vec![0u32; n];
+        for (v, &d) in self.degrees.iter().enumerate() {
+            let slot = &mut next[max - d as usize];
+            ids[*slot] = v as u32;
+            *slot += 1;
+        }
         ids
     }
 

@@ -30,7 +30,8 @@ use crate::degree::DegreeProfile;
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `avg_degree < 1.0`, or `locality` is outside
+/// Panics if `n < 2` (a lone vertex has no neighbour, so no degree cap
+/// of at least 1 exists), `avg_degree < 1.0`, or `locality` is outside
 /// `[0, 1]`.
 pub fn power_law_profile(
     n: usize,
@@ -39,7 +40,7 @@ pub fn power_law_profile(
     locality: f64,
     seed: u64,
 ) -> DegreeProfile {
-    assert!(n > 0, "need at least one vertex");
+    assert!(n >= 2, "need at least two vertices");
     assert!(avg_degree >= 1.0, "average degree must be at least 1");
     assert!(
         (0.0..=1.0).contains(&locality),
@@ -57,12 +58,23 @@ pub fn power_law_profile(
     // Calibrate scale c so that mean(clamp(round(c * w_i), 1, n-1))
     // equals avg_degree. The clamp makes this nonlinear; bisection on c
     // converges quickly because the mean is monotone in c.
-    let mean_for = |c: f64, weights: &[f64]| -> f64 {
-        weights
-            .iter()
-            .map(|&w| (c * w).round().clamp(1.0, max_degree))
-            .sum::<f64>()
-            / n as f64
+    let term = |c: f64, w: f64| (c * w).round().clamp(1.0, max_degree);
+    // With an integral cap every term is an integer, so while n·cap stays
+    // below 2^53 every partial sum is exact and the summation order
+    // cannot change the result: non-increasing weights give runs of equal
+    // terms that can be summed as `d · len`. Short runs (2·cap > n) gain
+    // nothing from galloping and keep the scan.
+    let by_runs = max_degree.fract() == 0.0
+        && (n as f64) * max_degree < EXACT_F64_INTEGER_LIMIT
+        && 2.0 * max_degree <= n as f64
+        && weights.windows(2).all(|pair| pair[0] >= pair[1]);
+    let mean_for = |c: f64| -> f64 {
+        let sum = if by_runs {
+            run_length_sum(&weights, |w| term(c, w))
+        } else {
+            weights.iter().map(|&w| term(c, w)).sum::<f64>()
+        };
+        sum / n as f64
     };
     let mut lo = 0.0_f64;
     // Upper bound: the scale at which even the lightest-weight vertex
@@ -70,7 +82,12 @@ pub fn power_law_profile(
     let mut hi = max_degree * (n as f64).powf(exponent) + 1.0;
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if mean_for(mid, &weights) < avg_degree {
+        // Collapsed: whichever side moves, every later step has this same
+        // midpoint, so running all 80 steps would also end with c = mid.
+        if mid == lo || mid == hi {
+            break;
+        }
+        if mean_for(mid) < avg_degree {
             lo = mid;
         } else {
             hi = mid;
@@ -95,6 +112,42 @@ pub fn power_law_profile(
         degrees.swap(i, j);
     }
     DegreeProfile::from_degrees(degrees)
+}
+
+/// 2^53: every integer up to here is exactly representable as an `f64`.
+const EXACT_F64_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Sum of `term(w)` over `weights`, where `term` is non-increasing along
+/// `weights`, integer-valued, and the total stays below 2^53 — so the
+/// result equals the sequential sum bit for bit. Each run of equal terms
+/// is found by galloping (probe `i+1, i+2, i+4, …` until a probe leaves
+/// the run, then binary-search the last gap) and added as `d · len`.
+fn run_length_sum(weights: &[f64], term: impl Fn(f64) -> f64) -> f64 {
+    let n = weights.len();
+    let mut sum = 0.0;
+    let mut start = 0;
+    while start < n {
+        let d = term(weights[start]);
+        // Every index below `inside` is known to be in the run; `outside`
+        // is the first index known not to be (or n).
+        let mut inside = start + 1;
+        let mut step = 1;
+        let outside = loop {
+            let probe = start + step;
+            if probe >= n {
+                break n;
+            }
+            if term(weights[probe]) != d {
+                break probe;
+            }
+            inside = probe + 1;
+            step *= 2;
+        };
+        let end = inside + weights[inside..outside].partition_point(|&w| term(w) == d);
+        sum += d * (end - start) as f64;
+        start = end;
+    }
+    sum
 }
 
 /// Chung–Lu random graph: samples `target_edges` endpoint pairs with
@@ -303,6 +356,12 @@ mod tests {
         assert_eq!(p.num_vertices(), 4000);
         let err = (p.avg_degree() - 60.0).abs() / 60.0;
         assert!(err < 0.05, "mean {} too far from 60", p.avg_degree());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least two vertices")]
+    fn power_law_profile_rejects_a_single_vertex() {
+        power_law_profile(1, 1.0, 0.8, 0.5, 1);
     }
 
     #[test]

@@ -83,6 +83,9 @@ impl SelectivePolicy {
     pub fn important_vertices(&self, profile: &DegreeProfile) -> Vec<bool> {
         let n = profile.num_vertices();
         let k = self.num_important(n).min(n);
+        if k == n {
+            return vec![true; n];
+        }
         let ranked = profile.vertices_by_degree_desc();
         let mut mask = vec![false; n];
         for &v in &ranked[..k] {

@@ -148,24 +148,7 @@ impl GcnWorkload {
             }
         }
 
-        // Per-micro-batch pacing write rows: each micro-batch writes the
-        // freshly-produced features of its own (selected) vertices; rows
-        // on the same crossbar serialize, groups run in parallel, so the
-        // pacing quantity is the *maximum* rows landing on one group.
-        let mut pacing_rows = vec![0.0f64; n_mb];
-        {
-            let mut per_group: std::collections::BTreeMap<u32, f64> =
-                std::collections::BTreeMap::new();
-            for (j, rows) in pacing_rows.iter_mut().enumerate() {
-                per_group.clear();
-                let start = j * b;
-                let end = ((j + 1) * b).min(n);
-                for (v, &group) in group_of.iter().enumerate().take(end).skip(start) {
-                    *per_group.entry(group).or_insert(0.0) += weight_of(v);
-                }
-                *rows = per_group.values().cloned().fold(0.0, f64::max);
-            }
-        }
+        let pacing_rows = pacing_rows(&group_of, mapping.num_groups(), b, weight_of);
         let amortized_rows_total: f64 = (0..n).map(weight_of).sum();
 
         let avg_degree = profile.avg_degree();
@@ -318,6 +301,37 @@ impl GcnWorkload {
     }
 }
 
+/// Per-micro-batch pacing write rows. Each micro-batch of `micro_batch`
+/// consecutive vertices writes the freshly-produced features of its own
+/// (selected) vertices; rows on the same crossbar serialize and groups
+/// run in parallel, so the pacing quantity is the *maximum* weighted rows
+/// landing on one group.
+///
+/// The dense per-group sums are zeroed again as each micro-batch's
+/// maximum is read. Every group's sum accumulates in vertex order and
+/// the maximum is order-free (weights are finite and non-negative), so
+/// the result is bitwise the same as summing into a sorted map.
+fn pacing_rows(
+    group_of: &[u32],
+    num_groups: usize,
+    micro_batch: usize,
+    weight_of: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    let mut per_group = vec![0.0f64; num_groups];
+    group_of
+        .chunks(micro_batch)
+        .enumerate()
+        .map(|(j, groups)| {
+            for (v, &g) in (j * micro_batch..).zip(groups) {
+                per_group[g as usize] += weight_of(v);
+            }
+            groups.iter().fold(0.0, |rows: f64, &g| {
+                rows.max(std::mem::take(&mut per_group[g as usize]))
+            })
+        })
+        .collect()
+}
+
 /// Convenience: a [`VertexMapping`] for this dataset under the given
 /// kind (used by the Fig. 6 analysis binaries).
 pub fn mapping_for(profile: &DegreeProfile, kind: MappingKind, capacity: usize) -> VertexMapping {
@@ -450,6 +464,51 @@ mod tests {
         let base = GcnWorkload::build(Dataset::Ddi, &small_options());
         assert!(reflip.stages()[1].rows_written > 2.0 * base.stages()[1].rows_written);
         assert!(reflip.write_ns(1, 0) > base.write_ns(1, 0));
+    }
+
+    /// The sorted-map accumulator the dense pacing replaced.
+    fn pacing_rows_reference(
+        group_of: &[u32],
+        micro_batch: usize,
+        weight_of: impl Fn(usize) -> f64,
+    ) -> Vec<f64> {
+        let mut per_group = std::collections::BTreeMap::new();
+        group_of
+            .chunks(micro_batch)
+            .enumerate()
+            .map(|(j, groups)| {
+                per_group.clear();
+                for (v, &g) in (j * micro_batch..).zip(groups) {
+                    *per_group.entry(g).or_insert(0.0) += weight_of(v);
+                }
+                per_group.values().cloned().fold(0.0, f64::max)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dense_pacing_matches_a_sorted_map_reference() {
+        // 1000 vertices in micro-batches of 64 leave a ragged last batch
+        // of 40; SteadyEpoch gives unimportant vertices weight 0.
+        let profile = gopim_graph::generate::power_law_profile(1000, 12.0, 0.8, 0.6, 3);
+        let important = SelectivePolicy::with_theta(0.5, 20).important_vertices(&profile);
+        for kind in [MappingKind::IndexBased, MappingKind::Interleaved] {
+            let mapping = mapping_for(&profile, kind, 16);
+            let mut group_of = vec![0u32; profile.num_vertices()];
+            for (g, members) in mapping.groups().iter().enumerate() {
+                for &v in members {
+                    group_of[v as usize] = g as u32;
+                }
+            }
+            for unimportant in [0.0, 1.0 / 20.0, 1.0] {
+                let weight_of = |v: usize| if important[v] { 1.0 } else { unimportant };
+                let dense = pacing_rows(&group_of, mapping.num_groups(), 64, weight_of);
+                let reference = pacing_rows_reference(&group_of, 64, weight_of);
+                assert_eq!(dense.len(), 16);
+                let bits = |rows: &[f64]| rows.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dense), bits(&reference), "{kind:?} w={unimportant}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf ratchet: run the curated smoke-bench suite (the linalg and
-# sparse-aggregation kernels — fast, single-process, scheduler-light)
-# and compare it against the committed baseline with `gopim
-# bench-diff --ratchet`. Mirrors the lint ratchet: the baseline is a
+# sparse-aggregation kernels, degree-profile generation and ranking,
+# and the workload build — fast, single-process, scheduler-light) and
+# compare it against the committed baseline with `gopim bench-diff
+# --ratchet`. Mirrors the lint ratchet: the baseline is a
 # committed artifact, drift beyond the tolerance band fails the run,
 # and an explicit update flow rewrites it.
 #
@@ -33,10 +34,18 @@ fi
 CURRENT="$RATCHET_DIR/perf_ratchet_current.jsonl"
 rm -f "$CURRENT"
 
-echo "== perf-ratchet: smoke-bench suite (linalg + aggregate) =="
+echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + graph + pipeline build) =="
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT" \
-    cargo bench --offline -p gopim-bench --bench linalg --bench aggregate
+    cargo bench --offline -p gopim-bench --bench linalg --bench aggregate --bench graph
+# Of the pipeline bench only the products build joins the ratchet: its
+# microsecond-scale simulate/DES cases would add noise to the gate
+# without guarding a layer the cold sweep spends time in.
+GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
+GOPIM_BENCH_JSON="$CURRENT.pipeline" \
+    cargo bench --offline -p gopim-bench --bench pipeline
+grep '"id":"pipeline/build_workload/products"' "$CURRENT.pipeline" >> "$CURRENT"
+rm -f "$CURRENT.pipeline"
 
 if [ "${GOPIM_BENCH_BASELINE:-}" = "update" ]; then
     cp "$CURRENT" "$BASELINE"
