@@ -34,8 +34,7 @@ fn main() {
         });
     }
     // The DES event loop proper: small micro-batches make many events,
-    // large replica pools make each event-queue operation expensive —
-    // the configuration where the queue implementation dominates.
+    // and R = 8 and R = 256 cover shallow and deep server rings.
     for (dataset, micro_batch) in [(Dataset::Ddi, 16), (Dataset::Collab, 32)] {
         let name = dataset.name();
         let wl = GcnWorkload::build(

@@ -29,9 +29,10 @@
 //! would produce, which the differential harness in
 //! `tests/cache_differential.rs` pins bitwise.
 //!
-//! Kill switches: `GOPIM_NO_CACHE=1` disables every tier for a
-//! process; [`with_disabled`] disables them for a scope (used by the
-//! determinism tests that must observe real recomputation).
+//! Kill switch: `GOPIM_NO_CACHE=1` disables every tier, memos
+//! included, for a process. In-process tests that need a fresh
+//! computation call the uncached twin of each cached entry point
+//! instead (e.g. `run_system` for `run_system_cached`).
 
 pub mod codec;
 pub mod hash;
@@ -41,4 +42,4 @@ pub mod store;
 pub use codec::{CacheValue, Decoder, Encoder};
 pub use hash::{key_of, CacheKey, CanonicalHash, CanonicalHasher, KEY_SCHEMA_VERSION};
 pub use memo::Memo;
-pub use store::{global, with_disabled, RunCache, StatsSnapshot};
+pub use store::{global, RunCache, StatsSnapshot};

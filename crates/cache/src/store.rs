@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gopim_obs::{DepMutex, DepMutexGuard};
@@ -35,27 +35,6 @@ static BYTES_READ: LazyCounter = LazyCounter::new("cache.bytes_read");
 static BYTES_WRITTEN: LazyCounter = LazyCounter::new("cache.bytes_written");
 static EVICTIONS: LazyCounter = LazyCounter::new("cache.evictions");
 static CORRUPT: LazyCounter = LazyCounter::new("cache.corrupt_records");
-
-/// Scope-level kill switch (see [`with_disabled`]). Process-global
-/// rather than thread-local because cached work fans out to `gopim-par`
-/// workers: a test that wants fresh computation must disable lookups on
-/// every thread for the duration.
-static DISABLED_SCOPES: AtomicUsize = AtomicUsize::new(0);
-
-/// Runs `f` with every cache tier disabled (lookups and stores both
-/// skip). Used by determinism tests that must observe genuine
-/// recomputation, and by the differential harness's "fresh" leg.
-pub fn with_disabled<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            DISABLED_SCOPES.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    DISABLED_SCOPES.fetch_add(1, Ordering::SeqCst);
-    let _g = Guard;
-    f()
-}
 
 /// On-disk record layout (all integers little-endian):
 ///
@@ -164,9 +143,9 @@ impl RunCache {
         cache
     }
 
-    /// Whether lookups and stores are active right now.
+    /// Whether lookups and stores are active (`GOPIM_NO_CACHE` unset).
     pub fn is_active(&self) -> bool {
-        self.enabled && DISABLED_SCOPES.load(Ordering::SeqCst) == 0
+        self.enabled
     }
 
     /// The disk-tier directory, if configured.
@@ -473,13 +452,23 @@ mod tests {
     }
 
     #[test]
-    fn with_disabled_bypasses_all_tiers() {
-        let cache = RunCache::new(None, 1 << 20);
-        let key = key_of("test", &4u64);
-        let _: u64 = cache.get_or_compute(key, || 1);
-        let fresh: u64 = with_disabled(|| cache.get_or_compute(key, || 2));
-        assert_eq!(fresh, 2);
-        let hit: u64 = cache.get_or_compute(key, || 3);
-        assert_eq!(hit, 1);
+    fn a_disabled_cache_bypasses_both_tiers_and_counts_nothing() {
+        let dir = temp_dir("disabled");
+        let (key, other) = (key_of("test", &4u64), key_of("test", &5u64));
+        let _: u64 = RunCache::new(Some(dir.clone()), 1 << 20).get_or_compute(key, || 1);
+        // A record now sits on disk; a disabled cache over the same
+        // directory must neither read it nor write or retain anything.
+        let mut cache = RunCache::new(Some(dir.clone()), 1 << 20);
+        cache.enabled = false;
+        assert_eq!(cache.get_or_compute(key, || 2u64), 2);
+        assert_eq!(cache.get_or_compute(key, || 3u64), 3);
+        assert!(cache.get_bytes(key).is_none());
+        cache.store(other, Arc::new(vec![1, 2, 3]));
+        assert!(!RunCache::record_path(&dir, other).exists());
+        assert!(cache.lock_mem().map.is_empty());
+        let s = cache.stats();
+        let counts = [s.hits, s.misses, s.disk_hits, s.evictions, s.corrupt];
+        assert_eq!(counts, [0; 5], "a disabled cache counted traffic");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -518,9 +518,9 @@ mod tests {
     fn nonzero_rates_stretch_the_makespan_and_replay_identically() {
         let config = CampaignConfig::quick_test();
         let a = run(Dataset::Ddi, &config);
-        // The second run bypasses every cache tier, so this pins both
-        // the seeded replay AND cached == fresh for whole campaigns.
-        let b = gopim_cache::with_disabled(|| run(Dataset::Ddi, &config));
+        // The second run is the uncached twin, so this pins both the
+        // seeded replay AND cached == fresh for whole campaigns.
+        let b = run_fresh(Dataset::Ddi, &config);
         assert_eq!(a, b, "campaign must replay bit-identically");
         let faulted = &a.rows[MitigationPolicy::ALL.len()..];
         assert!(faulted.iter().any(|r| r.injected > 0));

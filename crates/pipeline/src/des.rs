@@ -13,19 +13,19 @@
 //!   micro-batches … run in parallel").
 //! - [`ReplicaModel::InputSplit`]: `min(R, B)` replicas gang up on one
 //!   micro-batch (service `compute / min(R, B)`), with
-//!   `⌈R / min(R, B)⌉` gangs — the analytic model's assumption.
+//!   `⌊R / min(R, B)⌋` gangs — the analytic model's assumption.
 //!
 //! With `R = 1` both collapse to the same recurrence and must agree
 //! with the analytic simulator exactly; the tests verify this, and the
 //! property tests bound the divergence elsewhere.
 //!
-//! The per-stage server pools run on a pluggable [`EventQueue`]: the
-//! default is the [`CalendarQueue`] keyed to the ReRAM timing grid,
-//! and [`simulate_des_with_queue`] runs the identical engine on any
-//! other implementation (the differential tests cross-check it against
-//! [`crate::queue::HeapQueue`] bit for bit).
+//! Each stage's server pool is an exact round-robin ring: micro-batch
+//! `j` takes the server that micro-batch `j - count` released, because
+//! a stage's completions never decrease in `j` (the precondition is
+//! stated where the engine reads the ring).
+//! `tests/kernel_equivalence.rs` pins the ring bit for bit against a
+//! test-local `BinaryHeap` engine, clean and faulty.
 
-use crate::queue::{CalendarQueue, EventQueue};
 use crate::workload::GcnWorkload;
 use gopim_obs::metrics::LazyCounter;
 
@@ -53,16 +53,14 @@ pub struct DesResult {
     pub completions_ns: Vec<Vec<f64>>,
 }
 
-/// The shared event-driven engine: per-stage server pools on any
-/// [`EventQueue`], with the per-write latency supplied by `write`
+/// The shared event-driven engine: per-stage server pools as
+/// round-robin rings, with the per-write latency supplied by `write`
 /// (identity for clean runs, the fault session filter for faulty
-/// ones). All arithmetic is queue-independent, so two queues that
-/// drain in the same order produce bit-identical results.
-fn des_core<Q: EventQueue<()>>(
+/// ones).
+fn des_core(
     workload: &GcnWorkload,
     replicas: &[usize],
     model: ReplicaModel,
-    mut make_queue: impl FnMut() -> Q,
     mut write: impl FnMut(usize, usize, f64, f64) -> f64,
 ) -> DesResult {
     let stages = workload.stages();
@@ -76,48 +74,41 @@ fn des_core<Q: EventQueue<()>>(
     let b = workload.micro_batch();
     let overhead = workload.overhead_ns();
 
-    // Per-stage server pools (event queues of free times) and write
-    // channel availability.
-    let mut servers: Vec<Q> = (0..s)
+    // Per-stage server count and service time, hoisted out of the
+    // event loop.
+    let (servers, service_ns): (Vec<usize>, Vec<f64>) = (0..s)
         .map(|i| {
-            let (count, _) = server_shape(replicas[i], b, model);
-            let mut q = make_queue();
-            for _ in 0..count {
-                q.push(0.0, ());
-            }
-            q
+            let (count, split) = server_shape(replicas[i], b, model);
+            (count, stages[i].compute_ns / split as f64)
         })
-        .collect();
+        .unzip();
     let mut w_chan = vec![0.0f64; s];
     let mut completions = vec![vec![0.0f64; n_mb]; s];
     let mut makespan = 0.0f64;
 
-    // Per-stage service times, hoisted out of the event loop: the
-    // split factor and the division are loop-invariant in `j`, and the
-    // hoisted value is the identical f64 expression, so results stay
-    // bit-identical while the inner loop drops a divide per event.
-    let service_ns: Vec<f64> = (0..s)
-        .map(|i| {
-            let (_, split) = server_shape(replicas[i], b, model);
-            stages[i].compute_ns / split as f64
-        })
-        .collect();
-
+    // Server pools are round-robin rings read out of the completion
+    // table: micro-batch `j` takes the server that micro-batch
+    // `j - count` released (all `count` servers start free at 0).
+    // That is exactly the earliest-free server, given this
+    // precondition: writes (clean, or through `FaultSession::write`),
+    // the dispatch overhead and the service times are non-negative.
+    // Then the write channel only advances and a pool's minimum free
+    // time never decreases, so each stage's completions never decrease
+    // in `j`, and the server freed longest ago is always one of the
+    // earliest free. Servers carry no payload, so ties change nothing.
     #[allow(clippy::needless_range_loop)] // j indexes per-stage completion tables
     for j in 0..n_mb {
         let mut prev_end = 0.0f64;
         for i in 0..s {
-            let service = service_ns[i];
             let d_start = prev_end.max(w_chan[i]);
             let w = write(i, j, d_start, workload.write_ns(i, j));
             let w_end = d_start + overhead + w;
             w_chan[i] = w_end;
-            // Earliest-free server.
-            // lint:allow(no-panic-in-lib): pool holds replicas[i] >= 1 servers and every pop is paired with a push below
-            let (free, ()) = servers[i].pop().expect("non-empty pool");
-            let c_start = w_end.max(free);
-            let c_end = c_start + service;
-            servers[i].push(c_end, ());
+            let free = match j.checked_sub(servers[i]) {
+                Some(prev) => completions[i][prev],
+                None => 0.0,
+            };
+            let c_end = w_end.max(free) + service_ns[i];
             completions[i][j] = c_end;
             prev_end = c_end;
         }
@@ -130,31 +121,14 @@ fn des_core<Q: EventQueue<()>>(
 }
 
 /// Runs the event-driven simulation (single batch, intra-batch
-/// pipelining) on the default [`CalendarQueue`].
+/// pipelining).
 ///
 /// # Panics
 ///
 /// Panics if `replicas.len() != workload.stages().len()` or any count
 /// is zero.
 pub fn simulate_des(workload: &GcnWorkload, replicas: &[usize], model: ReplicaModel) -> DesResult {
-    simulate_des_with_queue(workload, replicas, model, CalendarQueue::new)
-}
-
-/// [`simulate_des`] on a caller-chosen [`EventQueue`] (`make_queue`
-/// builds one empty queue per stage). The differential tests use this
-/// to pin calendar-vs-heap bit equivalence.
-///
-/// # Panics
-///
-/// Panics if `replicas.len() != workload.stages().len()` or any count
-/// is zero.
-pub fn simulate_des_with_queue<Q: EventQueue<()>>(
-    workload: &GcnWorkload,
-    replicas: &[usize],
-    model: ReplicaModel,
-    make_queue: impl FnMut() -> Q,
-) -> DesResult {
-    des_core(workload, replicas, model, make_queue, |_, _, _, w| w)
+    des_core(workload, replicas, model, |_, _, _, w| w)
 }
 
 /// Runs the event-driven simulation through a fault session: each
@@ -183,13 +157,9 @@ pub fn simulate_des_faulty(
     session: &mut gopim_faults::FaultSession,
 ) -> DesResult {
     let stats_before = *session.stats();
-    let result = des_core(
-        workload,
-        replicas,
-        model,
-        CalendarQueue::new,
-        |i, j, d_start, w| session.write(i, j, d_start, w),
-    );
+    let result = des_core(workload, replicas, model, |i, j, d_start, w| {
+        session.write(i, j, d_start, w)
+    });
     let stats = session.stats();
     FAULTS_INJECTED.add(stats.injected - stats_before.injected);
     FAULTS_REMAPPED.add(stats.remapped - stats_before.remapped);
@@ -340,15 +310,36 @@ mod tests {
 
     #[test]
     fn completions_are_monotone_per_stage() {
+        // The ring's precondition: each stage's completions never
+        // decrease in the micro-batch index, for both replica models,
+        // with and without fault sessions stretching the writes.
+        use gopim_faults::{FaultConfig, FaultPlan, FaultSession, MitigationPolicy, SessionConfig};
         let wl = ddi();
-        let s = wl.stages().len();
-        let des = simulate_des(&wl, &vec![8; s], ReplicaModel::DiscreteServers);
-        for i in 0..s {
-            // Completion order can interleave across servers, but the
-            // final stage's completion drives the next micro-batch's
-            // dependency chain, which the makespan reflects.
-            let max = des.completions_ns[i].iter().cloned().fold(0.0, f64::max);
-            assert!(max <= des.makespan_ns + 1e-9);
+        let reps = vec![8; wl.stages().len()];
+        let shape = vec![16usize; reps.len()];
+        let monotone = |des: &DesResult| {
+            des.completions_ns
+                .iter()
+                .all(|row| row.windows(2).all(|w| w[0] <= w[1]))
+        };
+        for model in [ReplicaModel::DiscreteServers, ReplicaModel::InputSplit] {
+            let clean = simulate_des(&wl, &reps, model);
+            assert!(monotone(&clean), "{model:?} clean");
+            let fault = FaultConfig {
+                seed: 11,
+                stuck_rate: 0.5,
+                transient_rate: 0.1,
+                horizon_ns: clean.makespan_ns,
+            };
+            for policy in MitigationPolicy::ALL {
+                let mut cfg = SessionConfig::new(policy);
+                cfg.spare_groups = 2;
+                let plan = FaultPlan::generate(fault, &shape);
+                let mut session = FaultSession::new(plan, cfg, &shape);
+                let faulty = simulate_des_faulty(&wl, &reps, model, &mut session);
+                assert!(session.stats().injected > 0, "{model:?} {policy:?}");
+                assert!(monotone(&faulty), "{model:?} {policy:?}");
+            }
         }
     }
 }

@@ -39,7 +39,6 @@ pub mod des;
 pub mod energy;
 pub mod epochs;
 pub mod latency;
-pub mod queue;
 pub mod schedule;
 pub mod stage;
 pub mod trace;

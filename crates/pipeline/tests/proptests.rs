@@ -1,5 +1,5 @@
-//! Property-based tests for workload construction and the DES event
-//! queues (gopim-testkit).
+//! Property-based tests for workload construction and the faulty DES
+//! (gopim-testkit).
 
 use gopim_graph::datasets::ModelConfig;
 use gopim_graph::generate::power_law_profile;
@@ -101,77 +101,6 @@ fn selective_updating_never_increases_writes() {
             assert!(selective.stages()[1].rows_written <= full.stages()[1].rows_written + 1e-9);
         },
     );
-}
-
-#[test]
-fn calendar_queue_drains_exactly_like_the_heap() {
-    use gopim_pipeline::queue::{CalendarQueue, EventQueue, HeapQueue};
-    // Random streams mixing quantized ReRAM-grid times (frequent
-    // exact ties), arbitrary fractional times, and far-future
-    // outliers that force the calendar's lap jump; interleaved pops
-    // exercise cursor movement mid-stream. Replay a failure with
-    // GOPIM_PT_SEED from the printed seed.
-    check_with(
-        "calendar_queue_drains_exactly_like_the_heap",
-        Config::cases(64),
-        |d| {
-            let ops = d.draw("ops", 10usize..400);
-            let width = d.pick("width", &[1.0f64, 29.31, 50.88, 234.48]);
-            let mut heap = HeapQueue::new();
-            let mut cal = CalendarQueue::with_width(width);
-            for id in 0..ops {
-                if d.draw(&format!("pop{id}"), 0u32..3) == 0 {
-                    assert_eq!(heap.pop(), cal.pop(), "interleaved pop diverged");
-                } else {
-                    let t = match d.draw(&format!("kind{id}"), 0u32..3) {
-                        // Quantized grid: many exact ties.
-                        0 => d.draw(&format!("q{id}"), 0u32..50) as f64 * 29.31,
-                        // Arbitrary fractional time.
-                        1 => d.draw(&format!("f{id}"), 0.0f64..10_000.0),
-                        // Far future: several calendar "years" out.
-                        _ => d.draw(&format!("far{id}"), 1.0e6f64..1.0e9),
-                    };
-                    heap.push(t, id);
-                    cal.push(t, id);
-                }
-                assert_eq!(heap.len(), cal.len());
-            }
-            loop {
-                let (h, c) = (heap.pop(), cal.pop());
-                assert_eq!(
-                    h.map(|(t, id)| (t.to_bits(), id)),
-                    c.map(|(t, id)| (t.to_bits(), id)),
-                    "drain order diverged"
-                );
-                if h.is_none() {
-                    break;
-                }
-            }
-        },
-    );
-}
-
-#[test]
-fn equal_timestamp_events_drain_fifo() {
-    use gopim_pipeline::queue::{CalendarQueue, EventQueue, HeapQueue};
-    // Regression pin: a queue swap must never reorder same-time
-    // events. Both implementations guarantee strict FIFO among ties,
-    // so same-time DES writes stay in submission order.
-    fn check(mut q: impl EventQueue<usize>) {
-        q.push(50.88, 100);
-        for id in 0..8 {
-            q.push(29.31, id);
-        }
-        q.push(0.0, 200);
-        assert_eq!(q.pop(), Some((0.0, 200)));
-        for id in 0..8 {
-            assert_eq!(q.pop(), Some((29.31, id)), "tie broke out of FIFO order");
-        }
-        assert_eq!(q.pop(), Some((50.88, 100)));
-        assert_eq!(q.pop(), None);
-    }
-    check(HeapQueue::new());
-    check(CalendarQueue::new());
 }
 
 #[test]

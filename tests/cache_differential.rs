@@ -2,11 +2,12 @@
 //! bytes *bitwise identical* to a fresh simulation. Three fronts:
 //!
 //! 1. in-process — warm [`run_systems`]/[`run_ablation_cached`] results
-//!    vs the same requests computed under
-//!    [`gopim_cache::with_disabled`];
+//!    vs the same requests computed by the uncached twins
+//!    [`run_system`]/[`run_ablation`];
 //! 2. cross-process — a child process populates an on-disk tier
 //!    (`GOPIM_CACHE`), a second child serves the same sweep from disk,
-//!    and both digests must match the parent's fresh computation;
+//!    a third runs with `GOPIM_NO_CACHE=1` (no store, no memos), and
+//!    all three digests must match the parent's fresh computation;
 //! 3. thread counts — a cache populated under a 1-thread pool must
 //!    serve byte-identical results under an 8-thread pool (and the
 //!    fresh leg agrees with both).
@@ -15,7 +16,11 @@
 //! strings the store persists — so equality here *is* the bitwise
 //! contract, f64 payloads included.
 
-use gopim::runner::{run_ablation_cached, run_system_cached, run_systems, RunConfig};
+use std::ffi::OsStr;
+
+use gopim::runner::{
+    run_ablation, run_ablation_cached, run_system, run_system_cached, run_systems, RunConfig,
+};
 use gopim::system::{Ablation, System};
 use gopim::SystemRun;
 use gopim_cache::CacheValue;
@@ -39,6 +44,11 @@ fn sweep() -> Vec<(Dataset, System)> {
         (Dataset::Cora, System::Gopim),
         (Dataset::Collab, System::Serial),
     ]
+}
+
+/// The uncached twin of [`run_systems`]: every cell simulated fresh.
+fn fresh_runs(cells: &[(Dataset, System)], config: &RunConfig) -> Vec<SystemRun> {
+    gopim_par::par_map(cells, |&(d, s)| run_system(d, s, config))
 }
 
 /// The store's own byte encoding of a result list: bit-exact identity.
@@ -67,7 +77,7 @@ fn cached_sweep_is_bitwise_identical_to_fresh() {
     let before = gopim_cache::global().stats();
     let cached = encode(&run_systems(&cells, &config));
     let after = gopim_cache::global().stats();
-    let fresh = gopim_cache::with_disabled(|| encode(&run_systems(&cells, &config)));
+    let fresh = encode(&fresh_runs(&cells, &config));
     assert_eq!(warmup, cached, "warm rerun changed bytes");
     assert_eq!(cached, fresh, "cache hit differs from fresh simulation");
     // The second sweep must have been served by the store (other tests
@@ -84,8 +94,7 @@ fn cached_ablation_is_bitwise_identical_to_fresh() {
     for variant in Ablation::ALL {
         let warm = run_ablation_cached(Dataset::Ddi, variant, &config);
         let cached = run_ablation_cached(Dataset::Ddi, variant, &config);
-        let fresh =
-            gopim_cache::with_disabled(|| run_ablation_cached(Dataset::Ddi, variant, &config));
+        let fresh = run_ablation(Dataset::Ddi, variant, &config);
         assert_eq!(
             warm.to_bytes(),
             cached.to_bytes(),
@@ -113,71 +122,91 @@ fn cache_populated_serial_serves_identical_bytes_parallel() {
     let cells = sweep();
     let cold = Pool::new(1).install(|| encode(&run_systems(&cells, &config)));
     let warm = Pool::new(8).install(|| encode(&run_systems(&cells, &config)));
-    let fresh = Pool::new(8)
-        .install(|| gopim_cache::with_disabled(|| encode(&run_systems(&cells, &config))));
+    let fresh = Pool::new(8).install(|| encode(&fresh_runs(&cells, &config)));
     assert_eq!(cold, warm, "1-thread-populated cache differs at 8 threads");
     assert_eq!(warm, fresh, "cached bytes differ from fresh at 8 threads");
+}
+
+/// Re-runs this test in a child process with `envs` set (`None`
+/// removes a variable). Returns the child's sweep digest and its
+/// `[disk hits, total store statistics, memo lookups]`.
+fn child_run(tag: &str, envs: &[(&str, Option<&OsStr>)]) -> (String, [u64; 3]) {
+    let out =
+        std::env::temp_dir().join(format!("gopim_cache_diff_{}_{tag}.txt", std::process::id()));
+    let mut cmd = std::process::Command::new(std::env::current_exe().expect("test binary"));
+    cmd.args(["--exact", TEST_NAME])
+        .env(CHILD_ENV, &out)
+        .env("GOPIM_METRICS", "1");
+    for &(key, value) in envs {
+        match value {
+            Some(v) => cmd.env(key, v),
+            None => cmd.env_remove(key),
+        };
+    }
+    let status = cmd.status().expect("spawn child test process");
+    assert!(status.success(), "child run {tag} failed");
+    let report = std::fs::read_to_string(&out).expect("read child report");
+    let _ = std::fs::remove_file(&out);
+    let fields: Vec<&str> = report.split(' ').collect();
+    let count = |i: usize| fields[i].parse::<u64>().expect("count");
+    (fields[0].to_string(), [count(1), count(2), count(3)])
 }
 
 #[test]
 fn disk_tier_serves_bitwise_identical_results_across_processes() {
     let config = test_config();
-    if std::env::var(CHILD_ENV).is_ok() {
-        // Child mode: simulate the sweep (consulting whatever
-        // GOPIM_CACHE the parent pointed us at), report a digest plus
-        // the disk-tier hit count, and stop before re-spawning.
-        let out = std::env::var(CHILD_ENV).expect("checked above");
+    if let Ok(out) = std::env::var(CHILD_ENV) {
+        // Child mode: simulate the sweep (consulting whatever cache
+        // the parent configured), report a digest plus the store and
+        // memo statistics, and stop before re-spawning.
         let mut runs = Vec::new();
         for (d, s) in sweep() {
             runs.push(run_system_cached(d, s, &config));
         }
-        let stats = gopim_cache::global().stats();
-        let line = format!("{:016x} {}", fnv(&encode(&runs)), stats.disk_hits);
+        let s = gopim_cache::global().stats();
+        let store = s.hits + s.misses + s.disk_hits + s.evictions + s.corrupt;
+        let counters = gopim_obs::metrics::global().snapshot().counters;
+        let memo: u64 = ["cache.memo_hits", "cache.memo_misses"]
+            .iter()
+            .filter_map(|k| counters.get(*k))
+            .sum();
+        let digest = fnv(&encode(&runs));
+        let line = format!("{digest:016x} {} {store} {memo}", s.disk_hits);
         std::fs::write(out, line).expect("write child digest");
         return;
     }
 
-    // Parent: the reference digest comes from a fully uncached run.
-    let fresh_digest = gopim_cache::with_disabled(|| {
-        let runs: Vec<SystemRun> = sweep()
-            .into_iter()
-            .map(|(d, s)| run_system_cached(d, s, &config))
-            .collect();
-        format!("{:016x}", fnv(&encode(&runs)))
-    });
+    // Parent: the reference digest comes from the uncached twin.
+    let fresh_digest = format!("{:016x}", fnv(&encode(&fresh_runs(&sweep(), &config))));
 
-    let exe = std::env::current_exe().expect("test binary path");
-    let pid = std::process::id();
-    let cache_dir = std::env::temp_dir().join(format!("gopim_cache_diff_{pid}"));
+    let cache_dir = std::env::temp_dir().join(format!("gopim_cache_diff_{}", std::process::id()));
     std::fs::create_dir_all(&cache_dir).expect("create cache dir");
+    let disk = [
+        ("GOPIM_CACHE", Some(cache_dir.as_os_str())),
+        ("GOPIM_NO_CACHE", None),
+    ];
+    let (cold, [cold_disk_hits, _, cold_memo]) = child_run("cold", &disk);
+    let (warm, [warm_disk_hits, _, _]) = child_run("warm", &disk);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    // Fully fresh: no store and no memo, through the user-facing knob.
+    let no_cache_env = [
+        ("GOPIM_CACHE", None),
+        ("GOPIM_NO_CACHE", Some(OsStr::new("1"))),
+    ];
+    let (no_cache, [_, no_cache_store, no_cache_memo]) = child_run("no_cache", &no_cache_env);
 
-    let mut disk_hits = Vec::new();
-    for run in 0..2 {
-        let out = std::env::temp_dir().join(format!("gopim_cache_diff_{pid}_{run}.txt"));
-        let status = std::process::Command::new(&exe)
-            .arg("--exact")
-            .arg(TEST_NAME)
-            .env(CHILD_ENV, &out)
-            .env("GOPIM_CACHE", &cache_dir)
-            .status()
-            .expect("spawn child test process");
-        assert!(status.success(), "child process run {run} failed");
-        let report = std::fs::read_to_string(&out).expect("read child digest");
-        let _ = std::fs::remove_file(&out);
-        let (digest, hits) = report.split_once(' ').expect("digest + disk_hits");
+    for (tag, digest) in [("cold", cold), ("warm", warm), ("no-cache", no_cache)] {
         assert_eq!(
             digest, fresh_digest,
-            "child run {run} digest differs from fresh simulation"
+            "{tag} child digest differs from fresh"
         );
-        disk_hits.push(hits.trim().parse::<u64>().expect("disk hit count"));
     }
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    // First child starts from an empty directory; the second must have
-    // been served (at least partly) by the records the first wrote.
-    assert_eq!(disk_hits[0], 0, "cold child run cannot have disk hits");
-    assert!(
-        disk_hits[1] > 0,
-        "warm child run never touched the disk tier"
-    );
+    // The first child starts from an empty directory; the second must
+    // have been served (at least partly) by the records the first
+    // wrote.
+    assert_eq!(cold_disk_hits, 0, "cold child run cannot have disk hits");
+    assert!(warm_disk_hits > 0, "warm child never touched the disk tier");
+    assert!(cold_memo > 0, "cold child counted no memo lookups");
+    assert_eq!(no_cache_store, 0, "GOPIM_NO_CACHE child touched the store");
+    assert_eq!(no_cache_memo, 0, "GOPIM_NO_CACHE child touched a memo");
 }

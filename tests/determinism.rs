@@ -104,7 +104,7 @@ fn different_seeds_produce_different_workloads() {
 /// whole suite under `GOPIM_THREADS=1` and again at the default.)
 #[test]
 fn thread_count_never_changes_any_bits() {
-    use gopim::runner::{run_systems, RunConfig};
+    use gopim::runner::{run_system, RunConfig};
     use gopim::system::System;
     use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
     use gopim_graph::CsrGraph;
@@ -142,11 +142,11 @@ fn thread_count_never_changes_any_bits() {
             (Dataset::Ddi, System::Gopim),
             (Dataset::Cora, System::Gopim),
         ];
-        // Bypass the run cache: this test exists to observe real
-        // simulations at both thread counts, not one simulation and a
-        // cache hit (tests/cache_differential.rs covers the cached
-        // path).
-        let des: Vec<u64> = gopim_cache::with_disabled(|| run_systems(&sweep, &config))
+        // The uncached `run_system`, fanned over the pool: this test
+        // exists to observe real simulations at both thread counts,
+        // not one simulation and a cache hit
+        // (tests/cache_differential.rs covers the cached path).
+        let des: Vec<u64> = gopim_par::par_map(&sweep, |&(d, s)| run_system(d, s, &config))
             .iter()
             .map(|r| r.makespan_ns.to_bits())
             .collect();

@@ -6,10 +6,10 @@
 //! - the SIMD matmul/aggregation kernels (`gopim_linalg::simd`), which
 //!   must produce the same `f64` bits as the scalar fallback for every
 //!   shape, tail width, and thread count;
-//! - the calendar event queue (`gopim_pipeline::queue::CalendarQueue`),
-//!   which must drive the DES to the same makespans, completion
-//!   tables, and `gopim-obs` span multisets as the reference
-//!   `HeapQueue`.
+//! - the DES's round-robin server rings (`gopim_pipeline::des`), which
+//!   must drive the DES to the same makespans, completion tables and
+//!   fault-session statistics as a test-local `BinaryHeap` engine, and
+//!   emit the same `gopim-obs` spans at every thread count.
 //!
 //! Each property test draws randomized shapes and inputs through
 //! `gopim-testkit` (replay a failure with `GOPIM_PT_SEED=<seed>`), and
@@ -18,6 +18,7 @@
 //! so a single process exercises both dispatch paths even though the
 //! build flags never change.
 
+use gopim_faults::{FaultConfig, FaultPlan, FaultSession, MitigationPolicy, SessionConfig};
 use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
 use gopim_graph::datasets::ModelConfig;
 use gopim_graph::generate::power_law_profile;
@@ -25,10 +26,11 @@ use gopim_graph::CsrGraph;
 use gopim_linalg::simd::{set_simd_enabled, simd_enabled};
 use gopim_linalg::Matrix;
 use gopim_par::Pool;
-use gopim_pipeline::des::{simulate_des_with_queue, DesResult, ReplicaModel};
-use gopim_pipeline::queue::{CalendarQueue, HeapQueue};
+use gopim_pipeline::des::{simulate_des, simulate_des_faulty, DesResult, ReplicaModel};
 use gopim_pipeline::{GcnWorkload, WorkloadOptions};
 use gopim_testkit::prop::{check_with, Config};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Deterministic value stream for filling matrices (xorshift64*), so a
 /// single drawn seed reproduces the whole input.
@@ -188,16 +190,74 @@ fn assert_des_bits_equal(a: &DesResult, b: &DesResult, what: &str) {
     }
 }
 
+/// Maps `f64` bits to an integer that sorts like `f64::total_cmp`; the
+/// map is its own inverse.
+fn total_order(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The reference DES: every stage's servers sit in a `BinaryHeap` of
+/// free times, and each micro-batch pops the earliest-free one. It
+/// assumes no monotonicity, so the ring engine must match it bit for
+/// bit. (Equal times are equal bits, so the tie order is moot.)
+fn reference_des(
+    wl: &GcnWorkload,
+    replicas: &[usize],
+    model: ReplicaModel,
+    mut session: Option<&mut FaultSession>,
+) -> DesResult {
+    let (s, n_mb, b) = (wl.stages().len(), wl.num_microbatches(), wl.micro_batch());
+    // (server count, split factor) per stage.
+    let shape: Vec<(usize, usize)> = replicas
+        .iter()
+        .map(|&r| match model {
+            ReplicaModel::DiscreteServers => (r, 1),
+            ReplicaModel::InputSplit => ((r / r.min(b)).max(1), r.min(b)),
+        })
+        .collect();
+    let mut pools: Vec<BinaryHeap<Reverse<i64>>> = shape
+        .iter()
+        .map(|&(count, _)| vec![Reverse(total_order(0)); count].into())
+        .collect();
+    let mut w_chan = vec![0.0f64; s];
+    let mut completions = vec![vec![0.0f64; n_mb]; s];
+    let mut makespan = 0.0f64;
+    #[allow(clippy::needless_range_loop)] // j indexes per-stage completion tables
+    for j in 0..n_mb {
+        let mut prev_end = 0.0f64;
+        for i in 0..s {
+            let d_start = prev_end.max(w_chan[i]);
+            let base = wl.write_ns(i, j);
+            let w = match session.as_deref_mut() {
+                Some(session) => session.write(i, j, d_start, base),
+                None => base,
+            };
+            let w_end = d_start + wl.overhead_ns() + w;
+            w_chan[i] = w_end;
+            let Reverse(key) = pools[i].pop().expect("non-empty pool");
+            let free = f64::from_bits(total_order(key) as u64);
+            let c_end = w_end.max(free) + wl.stages()[i].compute_ns / shape[i].1 as f64;
+            pools[i].push(Reverse(total_order(c_end.to_bits() as i64)));
+            completions[i][j] = c_end;
+            prev_end = c_end;
+        }
+        makespan = makespan.max(prev_end);
+    }
+    DesResult {
+        makespan_ns: makespan,
+        completions_ns: completions,
+    }
+}
+
 #[test]
-fn des_is_bit_identical_under_calendar_and_heap_queues() {
+fn des_rings_are_bit_identical_to_a_heap_reference() {
     check_with(
-        "des_is_bit_identical_under_calendar_and_heap_queues",
-        Config::cases(24),
+        "des_rings_are_bit_identical_to_a_heap_reference",
+        Config::cases(32),
         |d| {
-            let n = d.draw("n", 128usize..3000);
+            let n = d.draw("n", 64usize..3000);
             let avg = d.draw("avg", 2.0f64..50.0);
-            let b = d.pick("b", &[16usize, 32, 64]);
-            let r = d.pick("r", &[1usize, 3, 8, 64, 256]);
+            let b = d.draw("b", 1usize..65);
             let profile = power_law_profile(n, avg, 0.8, 0.9, d.draw("pseed", 0u64..1000));
             let options = WorkloadOptions {
                 micro_batch: b,
@@ -205,23 +265,53 @@ fn des_is_bit_identical_under_calendar_and_heap_queues() {
             };
             let layers = d.draw("layers", 2usize..4);
             let wl = GcnWorkload::build_custom("equiv", &profile, &model(layers), &options);
-            let reps = vec![r; wl.stages().len()];
+            let s = wl.stages().len();
+            let reps: Vec<usize> = (0..s)
+                .map(|i| d.pick(&format!("r{i}"), &[1usize, 2, 3, 8, 64, 256]))
+                .collect();
+            let shape = vec![d.draw("groups", 1usize..24); s];
+            let fault = FaultConfig {
+                seed: d.draw("seed", 0u64..1_000_000),
+                stuck_rate: d.draw("stuck_rate", 0.05f64..1.0),
+                transient_rate: d.draw("transient_rate", 0.01f64..0.2),
+                horizon_ns: 0.0,
+            };
+            let spares = d.draw("spares", 0usize..4);
             for m in [ReplicaModel::DiscreteServers, ReplicaModel::InputSplit] {
-                let heap = simulate_des_with_queue(&wl, &reps, m, HeapQueue::<()>::new);
-                let cal = simulate_des_with_queue(&wl, &reps, m, CalendarQueue::<()>::new);
-                assert_des_bits_equal(&heap, &cal, &format!("{m:?} R={r} b={b}"));
+                let ring = simulate_des(&wl, &reps, m);
+                let heap = reference_des(&wl, &reps, m, None);
+                assert_des_bits_equal(&heap, &ring, &format!("{m:?} b={b} R={reps:?}"));
+                let plan = FaultPlan::generate(
+                    FaultConfig {
+                        horizon_ns: ring.makespan_ns,
+                        ..fault
+                    },
+                    &shape,
+                );
+                for policy in MitigationPolicy::ALL {
+                    let mut cfg = SessionConfig::new(policy);
+                    cfg.spare_groups = spares;
+                    let mut ring_session = FaultSession::new(plan.clone(), cfg, &shape);
+                    let mut heap_session = FaultSession::new(plan.clone(), cfg, &shape);
+                    let ring = simulate_des_faulty(&wl, &reps, m, &mut ring_session);
+                    let heap = reference_des(&wl, &reps, m, Some(&mut heap_session));
+                    let what = format!("{m:?} {policy:?} b={b} R={reps:?}");
+                    assert_des_bits_equal(&heap, &ring, &what);
+                    assert_eq!(
+                        heap_session.stats(),
+                        ring_session.stats(),
+                        "{what}: session stats diverged"
+                    );
+                }
             }
         },
     );
 }
 
-/// Runs a DES-heavy workload under `threads` workers with the given
-/// queue and returns the result plus the sorted span-identity
-/// multiset it traced.
-fn traced_des<Q: gopim_pipeline::queue::EventQueue<()>>(
-    threads: usize,
-    make_queue: impl FnMut() -> Q,
-) -> (DesResult, Vec<String>) {
+/// Runs a DES-heavy workload under `threads` workers and returns the
+/// result plus the sorted identities of the `pipeline.des` spans it
+/// traced.
+fn traced_des(threads: usize) -> (DesResult, Vec<String>) {
     let wl = GcnWorkload::build(
         gopim_graph::datasets::Dataset::Ddi,
         &WorkloadOptions::default(),
@@ -230,46 +320,44 @@ fn traced_des<Q: gopim_pipeline::queue::EventQueue<()>>(
     let pool = Pool::new(threads);
     gopim_obs::set_trace_enabled(true);
     let _ = gopim_obs::span::drain();
-    let result = pool
-        .install(|| simulate_des_with_queue(&wl, &reps, ReplicaModel::DiscreteServers, make_queue));
-    let mut ids: Vec<String> = gopim_obs::span::drain()
+    let result = {
+        let _marker = gopim_obs::span!("kernel_equivalence.traced_des");
+        pool.install(|| simulate_des(&wl, &reps, ReplicaModel::DiscreteServers))
+    };
+    let spans = gopim_obs::span::drain();
+    gopim_obs::set_trace_enabled(false);
+    // Tracing is process-wide, so concurrent tests leave their own
+    // spans (DES runs included) in the drain: keep this thread's.
+    let tid = spans
         .iter()
+        .find(|e| e.name == "kernel_equivalence.traced_des")
+        .expect("marker span recorded")
+        .tid;
+    let mut ids: Vec<String> = spans
+        .iter()
+        .filter(|e| e.tid == tid && e.name == "pipeline.des")
         .map(|e| e.identity())
         .collect();
-    gopim_obs::set_trace_enabled(false);
     ids.sort();
     (result, ids)
 }
 
 #[test]
-fn des_span_multiset_is_queue_and_thread_count_invariant() {
+fn des_span_multiset_is_thread_count_invariant() {
     // The observable behaviour of a DES run — results AND the trace
-    // it emits — must not depend on the queue implementation or on
-    // GOPIM_THREADS. Serial (1 thread) vs the default-sized pool,
-    // heap vs calendar: all four runs must agree bit for bit.
-    let (heap_1, spans_heap_1) = traced_des(1, HeapQueue::<()>::new);
-    let (cal_1, spans_cal_1) = traced_des(1, CalendarQueue::<()>::new);
+    // it emits — must not depend on GOPIM_THREADS: serial (1 thread)
+    // and the default-sized pool must agree bit for bit.
+    let (serial, spans_serial) = traced_des(1);
     let default_threads = gopim_par::num_threads().max(2);
-    let (heap_n, spans_heap_n) = traced_des(default_threads, HeapQueue::<()>::new);
-    let (cal_n, spans_cal_n) = traced_des(default_threads, CalendarQueue::<()>::new);
+    let (par, spans_par) = traced_des(default_threads);
     assert!(
-        !spans_heap_1.is_empty(),
+        !spans_serial.is_empty(),
         "DES runs must record spans (is span collection wired?)"
     );
-    assert_des_bits_equal(&heap_1, &cal_1, "heap vs calendar at 1 thread");
-    assert_des_bits_equal(&heap_1, &heap_n, "heap at 1 vs default threads");
-    assert_des_bits_equal(&heap_1, &cal_n, "heap at 1 vs calendar at default");
+    assert_des_bits_equal(&serial, &par, "1 vs default threads");
     assert_eq!(
-        spans_heap_1, spans_cal_1,
-        "span multiset differs between queues at 1 thread"
-    );
-    assert_eq!(
-        spans_heap_1, spans_heap_n,
+        spans_serial, spans_par,
         "span multiset differs across thread counts"
-    );
-    assert_eq!(
-        spans_heap_1, spans_cal_n,
-        "span multiset differs between queues at default threads"
     );
 }
 

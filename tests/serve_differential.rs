@@ -4,7 +4,7 @@
 //! *what* it is. Three fronts:
 //!
 //! 1. **cold** — a fresh server computes each sweep cell on demand;
-//!    the bytes must match an uncached in-process [`run_systems`];
+//!    the bytes must match the uncached in-process [`run_system`];
 //! 2. **cache-warm** — resubmitting the same jobs must be served from
 //!    the canonical-hash cache (`cache_served = true`) with the same
 //!    bytes;
@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use gopim::jobs::{CoreJobHandler, JobConfig, JobRequest};
-use gopim::runner::{run_systems, RunConfig};
+use gopim::runner::{run_system, run_systems, RunConfig};
 use gopim::system::System;
 use gopim_cache::CacheValue;
 use gopim_graph::datasets::Dataset;
@@ -73,13 +73,11 @@ fn socket_served_simulations_are_bitwise_identical_cold_and_warm() {
     };
     let cells = sweep();
 
-    // Reference: fresh in-process simulation, cache bypassed.
-    let fresh: Vec<Vec<u8>> = gopim_cache::with_disabled(|| {
-        run_systems(&cells, &config)
-            .iter()
-            .map(CacheValue::to_bytes)
-            .collect()
-    });
+    // Reference: fresh in-process simulation through the uncached twin.
+    let fresh: Vec<Vec<u8>> = cells
+        .iter()
+        .map(|&(d, s)| run_system(d, s, &config).to_bytes())
+        .collect();
 
     let (server, addr) = test_server();
     let mut client = Client::connect(&addr, "differential").expect("connect");
@@ -149,7 +147,11 @@ fn a_sweep_job_matches_run_systems_bitwise() {
         ..RunConfig::default()
     };
     let cells = sweep();
-    let fresh = gopim_cache::with_disabled(|| run_systems(&cells, &config).to_bytes());
+    let fresh = cells
+        .iter()
+        .map(|&(d, s)| run_system(d, s, &config))
+        .collect::<Vec<_>>()
+        .to_bytes();
 
     let (server, addr) = test_server();
     let mut client = Client::connect(&addr, "sweep-diff").expect("connect");
