@@ -14,12 +14,13 @@
 //!   campaign JSON-lines or a `GOPIM_LINT_JSON` linter report —
 //!   check its schema, and exit (no simulation).
 //!
-//! The fault knobs come from the same environment variables as
-//! `gopim faults`: `GOPIM_FAULT_SEED`, `GOPIM_FAULT_RATES`,
-//! `GOPIM_FAULT_SPARES`.
+//! The fault knobs are the same as `gopim faults`'s
+//! (`GOPIM_FAULT_SEED`, `GOPIM_FAULT_RATES`), read by the same
+//! [`campaign_config`]. A malformed knob or argument exits 2 with the
+//! message, as `gopim` does.
 
-use gopim::cli::{parse_dataset, parse_fault_rates, parse_fault_seed, parse_fault_spares};
-use gopim::experiments::faults::{degradation_table, run, CampaignConfig, CampaignReport};
+use gopim::cli::{campaign_config, parse_dataset};
+use gopim::experiments::faults::{degradation_table, run, CampaignReport};
 use gopim_bench::{banner, BenchArgs};
 use gopim_graph::datasets::Dataset;
 
@@ -128,53 +129,66 @@ fn validate_lint_report(path: &str, doc: &gopim_obs::export::Json) -> Result<usi
     Ok(findings.len())
 }
 
+/// What one invocation does.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// Schema-check an emitted JSON file and exit.
+    Validate(String),
+    /// Run the campaign, optionally appending JSON lines to a file.
+    Run {
+        dataset: Dataset,
+        json_path: Option<String>,
+    },
+}
+
+/// Parses the arguments after the shared `--quick` / `--budget`.
+/// `--validate` short-circuits: later arguments are not read.
+fn parse_mode(rest: &[String]) -> Result<Mode, String> {
+    let mut dataset = Dataset::Ddi;
+    let mut json_path = None;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--validate" => {
+                let path = it.next().ok_or("--validate expects a path")?;
+                return Ok(Mode::Validate(path.clone()));
+            }
+            "--json" => json_path = Some(it.next().ok_or("--json expects a path")?.clone()),
+            name => dataset = parse_dataset(name)?,
+        }
+    }
+    Ok(Mode::Run { dataset, json_path })
+}
+
+/// Reports a malformed argument or knob and exits 2.
+fn usage_error(msg: String) -> ! {
+    gopim_obs::log_error!("faults: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let _telemetry = gopim_bench::telemetry();
     let args = BenchArgs::from_env();
-
-    // --validate short-circuits: schema-check an emitted file and exit.
-    let mut rest = args.rest.iter().map(String::as_str).peekable();
-    let mut dataset = Dataset::Ddi;
-    let mut json_path: Option<String> = None;
-    while let Some(arg) = rest.next() {
-        match arg {
-            "--validate" => {
-                let path = rest.next().expect("--validate expects a path");
-                match validate(path) {
-                    Ok((n, kind)) => {
-                        println!("{path}: {n} {kind} ok");
-                        return;
-                    }
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(1);
-                    }
-                }
+    let (dataset, json_path) = match parse_mode(&args.rest).unwrap_or_else(|e| usage_error(e)) {
+        Mode::Validate(path) => match validate(&path) {
+            Ok((n, kind)) => {
+                println!("{path}: {n} {kind} ok");
+                return;
             }
-            "--json" => {
-                json_path = Some(rest.next().expect("--json expects a path").to_string());
+            Err(msg) => {
+                eprintln!("{msg}");
+                std::process::exit(1);
             }
-            name => {
-                dataset = parse_dataset(name).unwrap_or_else(|e| panic!("{e}"));
-            }
-        }
-    }
+        },
+        Mode::Run { dataset, json_path } => (dataset, json_path),
+    };
+    let mut config = campaign_config(gopim_obs::env::get()).unwrap_or_else(|e| usage_error(e));
 
     banner(
         "Fault campaign (extension)",
         "Graceful degradation of the GoPIM pipeline under stuck-at and transient ReRAM\n\
          faults, per mitigation policy (baseline / retry / remap-to-spares).",
     );
-    let env = |name: &str| std::env::var(name).ok();
-    let mut config = CampaignConfig {
-        seed: parse_fault_seed(env("GOPIM_FAULT_SEED").as_deref())
-            .unwrap_or_else(|e| panic!("{e}")),
-        fault_rates: parse_fault_rates(env("GOPIM_FAULT_RATES").as_deref())
-            .unwrap_or_else(|e| panic!("{e}")),
-        spare_fraction: parse_fault_spares(env("GOPIM_FAULT_SPARES").as_deref())
-            .unwrap_or_else(|e| panic!("{e}")),
-        ..CampaignConfig::default()
-    };
     if let Some(budget) = args.run_config().crossbar_budget {
         config.crossbar_budget = Some(budget);
     }
@@ -200,5 +214,57 @@ fn main() {
                 .unwrap_or_else(|e| panic!("--json {path}: {e}"));
         }
         println!("appended {} JSON records to {path}", report.rows.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mode(args: &[&str]) -> Result<Mode, String> {
+        parse_mode(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn arguments_pick_the_mode() {
+        assert_eq!(
+            mode(&[]),
+            Ok(Mode::Run {
+                dataset: Dataset::Ddi,
+                json_path: None
+            })
+        );
+        assert_eq!(
+            mode(&["cora", "--json", "out.jsonl"]),
+            Ok(Mode::Run {
+                dataset: Dataset::Cora,
+                json_path: Some("out.jsonl".into())
+            })
+        );
+        assert_eq!(
+            mode(&["--validate", "f.jsonl", "imdb"]),
+            Ok(Mode::Validate("f.jsonl".into()))
+        );
+    }
+
+    #[test]
+    fn an_unknown_dataset_is_an_error() {
+        assert!(mode(&["imdb"]).unwrap_err().contains("unknown dataset"));
+    }
+
+    #[test]
+    fn json_without_a_path_is_an_error() {
+        assert_eq!(
+            mode(&["cora", "--json"]),
+            Err("--json expects a path".into())
+        );
+    }
+
+    #[test]
+    fn validate_without_a_path_is_an_error() {
+        assert_eq!(
+            mode(&["--validate"]),
+            Err("--validate expects a path".into())
+        );
     }
 }

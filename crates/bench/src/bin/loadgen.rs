@@ -186,7 +186,7 @@ fn main() {
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
             max_queue: 64,
-            ..ServerConfig::from_env()
+            ..ServerConfig::default()
         };
         Some(
             Server::bind("127.0.0.1:0", Arc::new(CoreJobHandler), cfg).unwrap_or_else(|e| {

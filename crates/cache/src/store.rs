@@ -51,7 +51,7 @@ const MAGIC: [u8; 4] = *b"GPC1";
 const RECORD_FORMAT_VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 4 + 16 + 8;
 
-/// Default in-memory tier budget; override with `GOPIM_CACHE_MEM_BYTES`.
+/// The process cache's in-memory tier budget.
 const DEFAULT_MEM_BYTES: usize = 256 * 1024 * 1024;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -124,33 +124,9 @@ impl RunCache {
         }
     }
 
-    /// Builds the process cache from the environment: `GOPIM_CACHE=dir`
-    /// enables the disk tier, `GOPIM_NO_CACHE=1` disables everything,
-    /// `GOPIM_CACHE_MEM_BYTES` bounds the in-memory tier.
-    pub fn from_env() -> Self {
-        let disk = std::env::var_os("GOPIM_CACHE")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        let cap_bytes = std::env::var("GOPIM_CACHE_MEM_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MEM_BYTES);
-        let mut cache = RunCache::new(disk, cap_bytes);
-        cache.enabled = !matches!(
-            std::env::var("GOPIM_NO_CACHE").as_deref(),
-            Ok("1") | Ok("true")
-        );
-        cache
-    }
-
     /// Whether lookups and stores are active (`GOPIM_NO_CACHE` unset).
     pub fn is_active(&self) -> bool {
         self.enabled
-    }
-
-    /// The disk-tier directory, if configured.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
     }
 
     /// A copy of the internal statistics.
@@ -356,8 +332,8 @@ fn parse_record(raw: &[u8], key: CacheKey) -> Option<Vec<u8>> {
     Some(payload.to_vec())
 }
 
-/// The process-wide cache, configured from the environment on first
-/// use.
+/// The process-wide cache, built on first use: `GOPIM_CACHE=dir`
+/// enables the disk tier, `GOPIM_NO_CACHE=1` disables everything.
 pub fn global() -> &'static RunCache {
     static GLOBAL: OnceLock<RunCache> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -375,7 +351,10 @@ pub fn global() -> &'static RunCache {
                 ("cache.corrupt".to_string(), Value::U64(s.corrupt)),
             ]
         });
-        RunCache::from_env()
+        let env = gopim_obs::env::get();
+        let mut cache = RunCache::new(env.cache.as_ref().map(PathBuf::from), DEFAULT_MEM_BYTES);
+        cache.enabled = !env.no_cache;
+        cache
     })
 }
 

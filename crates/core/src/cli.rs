@@ -2,7 +2,9 @@
 //! it is unit-testable).
 
 use gopim_graph::datasets::Dataset;
+use gopim_obs::env::Env;
 
+use crate::experiments::faults::CampaignConfig;
 use crate::system::System;
 
 /// Resolves a dataset by its paper name, case-insensitively.
@@ -82,70 +84,46 @@ pub fn parse_serve_addr(arg: Option<&str>) -> Result<String, String> {
     }
 }
 
-/// Parses the `GOPIM_FAULT_SEED` environment value (default 7).
+/// The fault campaign's configuration: the `GOPIM_FAULT_SEED` and
+/// `GOPIM_FAULT_RATES` knobs over [`CampaignConfig::default`]. Both
+/// front ends, `gopim faults` and the `faults` binary, start here.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for non-numeric values.
-pub fn parse_fault_seed(value: Option<&str>) -> Result<u64, String> {
-    match value {
-        None | Some("") => Ok(7),
+/// Returns a user-facing message for a malformed seed or rate list —
+/// these knobs select what is computed, so they never fall back.
+pub fn campaign_config(env: &Env) -> Result<CampaignConfig, String> {
+    let default = CampaignConfig::default();
+    let seed = match env.fault_seed.as_deref() {
+        None => default.seed,
         Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("invalid GOPIM_FAULT_SEED '{v}'")),
-    }
-}
-
-/// Parses the `GOPIM_FAULT_RATES` environment value: a comma-separated
-/// list of stuck-at rates in `[0, 1]` (default `0,0.05,0.2`).
-///
-/// # Errors
-///
-/// Returns a user-facing message for empty lists, non-numeric entries
-/// or rates outside `[0, 1]`.
-pub fn parse_fault_rates(value: Option<&str>) -> Result<Vec<f64>, String> {
-    let raw = match value {
-        None | Some("") => return Ok(vec![0.0, 0.05, 0.2]),
-        Some(v) => v,
-    };
-    let mut rates = Vec::new();
-    for part in raw.split(',') {
-        let part = part.trim();
-        let rate: f64 = part
             .parse()
-            .map_err(|_| format!("invalid fault rate '{part}' in GOPIM_FAULT_RATES"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("fault rate {rate} outside [0, 1]"));
-        }
-        rates.push(rate);
-    }
-    if rates.is_empty() {
-        return Err("GOPIM_FAULT_RATES lists no rates".into());
-    }
-    Ok(rates)
+            .map_err(|_| format!("invalid GOPIM_FAULT_SEED '{v}'"))?,
+    };
+    let fault_rates = match env.fault_rates.as_deref() {
+        None => default.fault_rates.clone(),
+        Some(v) => v
+            .split(',')
+            .map(parse_fault_rate)
+            .collect::<Result<_, _>>()?,
+    };
+    Ok(CampaignConfig {
+        seed,
+        fault_rates,
+        ..default
+    })
 }
 
-/// Parses the `GOPIM_FAULT_SPARES` environment value: the fraction of
-/// the leftover crossbar pool reserved as remap spares, in `[0, 1]`
-/// (default 0.02).
-///
-/// # Errors
-///
-/// Returns a user-facing message for non-numeric values or fractions
-/// outside `[0, 1]`.
-pub fn parse_fault_spares(value: Option<&str>) -> Result<f64, String> {
-    match value {
-        None | Some("") => Ok(0.02),
-        Some(v) => {
-            let fraction: f64 = v
-                .parse()
-                .map_err(|_| format!("invalid GOPIM_FAULT_SPARES '{v}'"))?;
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(format!("spare fraction {fraction} outside [0, 1]"));
-            }
-            Ok(fraction)
-        }
+/// Parses one `GOPIM_FAULT_RATES` entry: a stuck-at rate in `[0, 1]`.
+fn parse_fault_rate(part: &str) -> Result<f64, String> {
+    let part = part.trim();
+    let rate: f64 = part
+        .parse()
+        .map_err(|_| format!("invalid fault rate '{part}' in GOPIM_FAULT_RATES"))?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(format!("fault rate {rate} outside [0, 1]"));
     }
+    Ok(rate)
 }
 
 #[cfg(test)]
@@ -169,33 +147,30 @@ mod tests {
         assert!(parse_system("tpu").is_err());
     }
 
+    fn campaign(pairs: &[(&str, &str)]) -> Result<CampaignConfig, String> {
+        campaign_config(&Env::from_vars(pairs.to_vec()))
+    }
+
     #[test]
     fn fault_seed_defaults_and_validates() {
-        assert_eq!(parse_fault_seed(None).unwrap(), 7);
-        assert_eq!(parse_fault_seed(Some("")).unwrap(), 7);
-        assert_eq!(parse_fault_seed(Some("42")).unwrap(), 42);
-        assert!(parse_fault_seed(Some("many")).is_err());
+        let seed = |value| campaign(&[("GOPIM_FAULT_SEED", value)]).map(|c| c.seed);
+        assert_eq!(campaign(&[]).unwrap().seed, CampaignConfig::default().seed);
+        assert_eq!(seed(""), Ok(CampaignConfig::default().seed));
+        assert_eq!(seed("42"), Ok(42));
+        assert!(seed("many").unwrap_err().contains("GOPIM_FAULT_SEED"));
     }
 
     #[test]
     fn fault_rates_parse_comma_lists() {
-        assert_eq!(parse_fault_rates(None).unwrap(), vec![0.0, 0.05, 0.2]);
+        let rates = |value| campaign(&[("GOPIM_FAULT_RATES", value)]).map(|c| c.fault_rates);
         assert_eq!(
-            parse_fault_rates(Some("0, 0.1 ,0.5")).unwrap(),
-            vec![0.0, 0.1, 0.5]
+            campaign(&[]).unwrap().fault_rates,
+            CampaignConfig::default().fault_rates
         );
-        assert!(parse_fault_rates(Some("0.1,huge")).is_err());
-        assert!(parse_fault_rates(Some("1.5")).is_err());
-        assert!(parse_fault_rates(Some(",")).is_err());
-    }
-
-    #[test]
-    fn fault_spares_bound_the_fraction() {
-        assert_eq!(parse_fault_spares(None).unwrap(), 0.02);
-        assert_eq!(parse_fault_spares(Some("0.1")).unwrap(), 0.1);
-        assert!(parse_fault_spares(Some("-0.1")).is_err());
-        assert!(parse_fault_spares(Some("2")).is_err());
-        assert!(parse_fault_spares(Some("few")).is_err());
+        assert_eq!(rates("0, 0.1 ,0.5"), Ok(vec![0.0, 0.1, 0.5]));
+        for malformed in ["0.1,huge", "1.5", ","] {
+            assert!(rates(malformed).is_err(), "{malformed:?}");
+        }
     }
 
     #[test]

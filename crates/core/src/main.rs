@@ -30,16 +30,13 @@ COMMANDS:
     custom <edge-file> [B]        run all systems on your own graph
                                   (text edge list: 'u v' per line, # comments)
     faults <dataset> [B]          fault-injection degradation campaign
-                                  (env: GOPIM_FAULT_SEED, GOPIM_FAULT_RATES,
-                                   GOPIM_FAULT_SPARES)
+                                  (env: GOPIM_FAULT_SEED, GOPIM_FAULT_RATES)
     serve [addr]                  persistent job server (default
                                   127.0.0.1:4857; ':0' = ephemeral):
                                   simulation/allocation/prediction jobs
                                   over the gopim-serve wire protocol,
                                   fair-share scheduled, cache-backed
-                                  (env: GOPIM_SERVE_WORKERS,
-                                   GOPIM_SERVE_QUEUE,
-                                   GOPIM_SERVE_READ_TIMEOUT_MS)
+                                  (env: GOPIM_SERVE_WORKERS)
     lint [--update-baseline]      determinism & hermeticity linter
                                   (ratchets against lint-baseline.json;
                                    GOPIM_LINT_JSON=<path> writes a JSON report)
@@ -69,8 +66,7 @@ The paper's full 16 GB chip is assumed; see the gopim-bench binaries
 (fig04..fig17, table05..table07) for the per-figure experiments.";
 
 use gopim::cli::{
-    parse_dataset, parse_fault_rates, parse_fault_seed, parse_fault_spares, parse_micro_batch,
-    parse_serve_addr, parse_system,
+    campaign_config, parse_dataset, parse_micro_batch, parse_serve_addr, parse_system,
 };
 
 fn cmd_datasets() {
@@ -200,13 +196,9 @@ fn cmd_gantt(dataset: Dataset, system: System, micro_batch: usize) {
 fn cmd_faults(dataset: Dataset, micro_batch: usize) -> Result<(), String> {
     use gopim::experiments::faults::{degradation_table, run, CampaignConfig};
 
-    let env = |name: &str| std::env::var(name).ok();
     let config = CampaignConfig {
-        seed: parse_fault_seed(env("GOPIM_FAULT_SEED").as_deref())?,
-        fault_rates: parse_fault_rates(env("GOPIM_FAULT_RATES").as_deref())?,
-        spare_fraction: parse_fault_spares(env("GOPIM_FAULT_SPARES").as_deref())?,
         micro_batch,
-        ..CampaignConfig::default()
+        ..campaign_config(gopim_obs::env::get())?
     };
     let report = run(dataset, &config);
     println!("{}", degradation_table(&report));
@@ -222,7 +214,15 @@ fn cmd_serve(addr: &str) -> Result<(), String> {
     use gopim_serve::{Server, ServerConfig};
     use std::sync::Arc;
 
-    let cfg = ServerConfig::from_env();
+    // A malformed GOPIM_SERVE_WORKERS warns and keeps the default: a
+    // server must come up.
+    let default = ServerConfig::default();
+    let cfg = ServerConfig {
+        workers: gopim_obs::env::get()
+            .serve_workers
+            .unwrap_or(default.workers),
+        ..default
+    };
     let server = Server::bind(addr, Arc::new(CoreJobHandler), cfg)
         .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     println!(
@@ -249,12 +249,10 @@ fn cmd_lint(update_baseline: bool, prune_stale: bool) -> Result<(), String> {
     let cwd = std::env::current_dir().map_err(|e| format!("current dir: {e}"))?;
     let root = gopim_lint::find_workspace_root(&cwd)?;
     let outcome = gopim_lint::lint_workspace(&root)?;
-    if let Ok(json_path) = std::env::var(gopim_lint::JSON_ENV) {
-        if !json_path.is_empty() {
-            std::fs::write(&json_path, outcome.render_json())
-                .map_err(|e| format!("write {json_path}: {e}"))?;
-            eprintln!("lint: JSON report written to {json_path}");
-        }
+    if let Some(json_path) = &gopim_obs::env::get().lint_json {
+        std::fs::write(json_path, outcome.render_json())
+            .map_err(|e| format!("write {json_path}: {e}"))?;
+        eprintln!("lint: JSON report written to {json_path}");
     }
     print!("{}", outcome.render_human());
     if update_baseline {
@@ -465,7 +463,7 @@ fn cmd_custom(path: &str, micro_batch: usize) -> Result<(), String> {
 
 fn main() {
     // Flushes GOPIM_TRACE / GOPIM_METRICS output when dropped; inert
-    // when neither env var is set.
+    // when neither knob is set.
     let telemetry = gopim_obs::attach();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = dispatch(&args);

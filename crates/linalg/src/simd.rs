@@ -28,36 +28,25 @@
 //!   differential tests (`tests/kernel_equivalence.rs`) compare
 //!   against.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use gopim_obs::EnvFlag;
 
-/// Cached dispatch decision: 0 = undecided, 1 = SIMD on, 2 = SIMD off.
-static SIMD_STATE: AtomicU8 = AtomicU8::new(0);
+static SIMD: EnvFlag = EnvFlag::new(|| !gopim_obs::env::get().no_simd && cpu_supported());
 
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-fn detect() -> u8 {
-    let killed = std::env::var("GOPIM_NO_SIMD")
-        .map(|v| v != "0")
-        .unwrap_or(false);
-    if killed {
-        return STATE_OFF;
-    }
+/// Whether this CPU has the vector unit the kernels need (checked
+/// once, when the gate seeds).
+fn cpu_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return STATE_ON;
-        }
-        STATE_OFF
+        std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(target_arch = "aarch64")]
     {
         // NEON is a baseline AArch64 feature.
-        STATE_ON
+        true
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
-        STATE_OFF
+        false
     }
 }
 
@@ -66,26 +55,14 @@ fn detect() -> u8 {
 /// [`set_simd_enabled`] overrides it.
 #[inline]
 pub fn simd_enabled() -> bool {
-    match SIMD_STATE.load(Ordering::Relaxed) {
-        0 => {
-            let state = detect();
-            SIMD_STATE.store(state, Ordering::Relaxed);
-            state == STATE_ON
-        }
-        state => state == STATE_ON,
-    }
+    SIMD.get()
 }
 
 /// Forces the dispatch decision — the hook the differential tests use
 /// to run the same process with and without SIMD. Enabling on a CPU
 /// without the required features silently stays scalar.
 pub fn set_simd_enabled(enabled: bool) {
-    let state = if enabled && detect() == STATE_ON {
-        STATE_ON
-    } else {
-        STATE_OFF
-    };
-    SIMD_STATE.store(state, Ordering::Relaxed);
+    SIMD.set(enabled && cpu_supported());
 }
 
 /// Scalar multiply-accumulate matching `kernels::mac`: fused on FMA

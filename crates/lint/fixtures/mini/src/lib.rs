@@ -41,6 +41,13 @@ pub fn text_not_tokens() -> &'static str {
     "HashMap Instant::now() panic!() .unwrap()"
 }
 
+/// Reads the environment ad hoc; the variance local named `var` next
+/// to it is not an environment read.
+pub fn knob_spread() -> f64 {
+    let var = std::env::var("MINI_KNOB").map_or(0.0, |v| v.len() as f64);
+    var * var
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -45,9 +45,6 @@ pub use rules::Finding;
 /// Name of the committed baseline file at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.json";
 
-/// Environment variable naming a path for the JSON report.
-pub const JSON_ENV: &str = "GOPIM_LINT_JSON";
-
 /// Finds the enclosing workspace root: the nearest ancestor of `start`
 /// whose `Cargo.toml` declares `[workspace]`.
 ///

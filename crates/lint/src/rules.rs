@@ -25,6 +25,9 @@ pub enum Matcher {
     /// A macro invocation: one of these identifiers immediately
     /// followed by `!` (`panic!`, `println!`, `dbg!`).
     MacroCall(&'static [&'static str]),
+    /// A path segment: one of these identifiers right after
+    /// `<module>::` (`env::var`) — so a local named `var` never fires.
+    PathItem(&'static str, &'static [&'static str]),
 }
 
 /// Where a rule applies.
@@ -166,6 +169,17 @@ pub const RULES: &[Rule] = &[
         exempt_paths: &[],
     },
     Rule {
+        name: "no-adhoc-env",
+        summary: "the environment is read once, into gopim_obs::env::Env; \
+                  read its typed field instead",
+        matchers: &[Matcher::PathItem(
+            "env",
+            &["var", "var_os", "vars", "vars_os"],
+        )],
+        applies: Applies::LibAndBin,
+        exempt_paths: &["crates/obs/src/env.rs"],
+    },
+    Rule {
         name: NO_EXTERNAL_DEPS,
         summary: "the workspace is hermetic: no crates.io/git dependencies, \
                   no subprocess escape hatches",
@@ -234,6 +248,12 @@ fn match_one(
             Matcher::MacroCall(names) => (names.contains(&text)
                 && sig.get(i + 1).is_some_and(|n| n.text(src) == "!"))
             .then(|| format!("`{text}!`")),
+            Matcher::PathItem(module, names) => (names.contains(&text)
+                && i >= 3
+                && sig[i - 3].text(src) == *module
+                && sig[i - 2].text(src) == ":"
+                && sig[i - 1].text(src) == ":")
+                .then(|| format!("`{module}::{text}`")),
         };
         let Some(what) = hit else {
             continue;
@@ -329,6 +349,20 @@ fn lib(x: Option<u32>) -> u32 { x.unwrap() }\n\
         assert_eq!(run("crates/x/src/bin/tool.rs", src).len(), 1);
         assert_eq!(run("crates/x/src/lib.rs", src).len(), 1);
         assert!(run("crates/x/tests/t.rs", src).is_empty());
+    }
+
+    #[test]
+    fn env_reads_need_the_env_path() {
+        let src = "use std::env;\nfn f() -> f64 {\n    let _ = std::env::var(\"X\");\n    \
+                   let _ = env::vars_os();\n    let var = 1.0;\n    let x = var * 2.0;\n    \
+                   x + var\n}\n";
+        let hits = run("crates/x/src/lib.rs", src);
+        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert!(hits.iter().all(|f| f.rule == "no-adhoc-env"));
+        assert_eq!((hits[0].line, hits[1].line), (3, 4));
+        assert_eq!(run("crates/x/src/bin/tool.rs", src).len(), 2);
+        assert!(run("crates/x/tests/t.rs", src).is_empty());
+        assert!(run("crates/obs/src/env.rs", src).is_empty());
     }
 
     #[test]

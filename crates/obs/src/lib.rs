@@ -23,25 +23,9 @@
 //!
 //! Everything is **off by default** and the disabled path is one
 //! relaxed atomic load plus a predictable branch — no allocation, no
-//! clock read, no locking. Enablement comes from the environment,
-//! read once:
-//!
-//! - `GOPIM_TRACE=<path>` — collect spans and write a Chrome
-//!   trace-event JSON file (loadable in `chrome://tracing` /
-//!   [Perfetto](https://ui.perfetto.dev)) to `<path>` when the
-//!   [`TelemetryGuard`] drops.
-//! - `GOPIM_METRICS=1` — collect metrics and print the plain-text
-//!   registry report to stderr when the guard drops.
-//! - `GOPIM_PROFILE=1|stderr|<path>` — collect spans and render the
-//!   aggregated per-label profile ([`report::render_profile`]) to
-//!   stderr (`1`/`stderr`) or a file.
-//! - `GOPIM_PROFILE_FOLDED=<path>` — collect spans and write
-//!   collapsed stacks (`flamegraph.pl` / speedscope format).
-//! - `GOPIM_MANIFEST=<path>` — write a self-describing run manifest
-//!   ([`manifest`]) capturing command, env, fields, metrics and span
-//!   aggregates.
-//! - `GOPIM_LOG=error|warn|info|debug|off` — log verbosity
-//!   (default `info`).
+//! clock read, no locking. Enablement comes from the typed config in
+//! [`env`] (`GOPIM_TRACE`, `GOPIM_PROFILE`, `GOPIM_PROFILE_FOLDED`,
+//! `GOPIM_MANIFEST`, `GOPIM_METRICS`, `GOPIM_LOG`).
 //!
 //! Binaries opt in with one line:
 //!
@@ -55,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod env;
 pub mod export;
 pub mod lockdep;
 pub mod log;
@@ -70,22 +55,26 @@ use std::time::Instant;
 pub use lockdep::{lockdep_enabled, set_lockdep_enabled, DepCondvar, DepMutex, DepMutexGuard};
 pub use span::SpanGuard;
 
-/// Tri-state cached enablement flag: 0 = unread, 1 = off, 2 = on.
-struct EnvFlag {
+/// A hot-path on/off gate: one relaxed atomic load once seeded. It is
+/// seeded from the config on first read and can be forced by a test
+/// setter. State: 0 = unseeded, 1 = off, 2 = on.
+pub struct EnvFlag {
     state: AtomicU8,
     read: fn() -> bool,
 }
 
 impl EnvFlag {
-    const fn new(read: fn() -> bool) -> Self {
+    /// A gate seeded by `read` (typically a field of [`env::get`]).
+    pub const fn new(read: fn() -> bool) -> Self {
         EnvFlag {
             state: AtomicU8::new(0),
             read,
         }
     }
 
+    /// The gate's state.
     #[inline]
-    fn get(&self) -> bool {
+    pub fn get(&self) -> bool {
         match self.state.load(Ordering::Relaxed) {
             0 => self.init(),
             s => s == 2,
@@ -99,7 +88,8 @@ impl EnvFlag {
         on
     }
 
-    fn set(&self, on: bool) {
+    /// Forces the gate on or off, overriding the config.
+    pub fn set(&self, on: bool) {
         self.state.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     }
 }
@@ -108,17 +98,14 @@ impl EnvFlag {
 // the Chrome trace, the profile report, the folded-stack export, or
 // the run manifest.
 static TRACE: EnvFlag = EnvFlag::new(|| {
-    trace_path().is_some()
-        || profile_dest().is_some()
-        || folded_path().is_some()
-        || manifest_path().is_some()
+    let env = env::get();
+    env.trace.is_some()
+        || env.profile.is_some()
+        || env.profile_folded.is_some()
+        || env.manifest.is_some()
 });
-static METRICS: EnvFlag = EnvFlag::new(|| {
-    std::env::var("GOPIM_METRICS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-});
-static MANIFEST: EnvFlag = EnvFlag::new(|| manifest_path().is_some());
+static METRICS: EnvFlag = EnvFlag::new(|| env::get().metrics);
+static MANIFEST: EnvFlag = EnvFlag::new(|| env::get().manifest.is_some());
 
 /// Whether span collection is on (`GOPIM_TRACE` set, or forced by
 /// [`set_trace_enabled`]). The disabled path is a relaxed load.
@@ -134,13 +121,13 @@ pub fn metrics_enabled() -> bool {
     METRICS.get()
 }
 
-/// Forces span collection on or off, overriding the environment —
+/// Forces span collection on or off, overriding the config —
 /// for tests and embedders that manage their own export.
 pub fn set_trace_enabled(on: bool) {
     TRACE.set(on);
 }
 
-/// Forces metrics collection on or off, overriding the environment.
+/// Forces metrics collection on or off, overriding the config.
 pub fn set_metrics_enabled(on: bool) {
     METRICS.set(on);
 }
@@ -154,48 +141,9 @@ pub fn manifest_enabled() -> bool {
     MANIFEST.get()
 }
 
-/// Forces manifest collection on or off, overriding the environment.
+/// Forces manifest collection on or off, overriding the config.
 pub fn set_manifest_enabled(on: bool) {
     MANIFEST.set(on);
-}
-
-fn env_path(name: &str) -> Option<String> {
-    match std::env::var(name) {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
-}
-
-/// The `GOPIM_TRACE` destination path, if set to a non-empty value.
-pub fn trace_path() -> Option<String> {
-    env_path("GOPIM_TRACE")
-}
-
-/// Where the aggregated profile report goes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileDest {
-    /// Print to stderr (`GOPIM_PROFILE=1` or `stderr`).
-    Stderr,
-    /// Write to a file (`GOPIM_PROFILE=<path>`).
-    File(String),
-}
-
-/// The `GOPIM_PROFILE` destination, if configured.
-pub fn profile_dest() -> Option<ProfileDest> {
-    match env_path("GOPIM_PROFILE")?.as_str() {
-        "1" | "stderr" => Some(ProfileDest::Stderr),
-        path => Some(ProfileDest::File(path.to_string())),
-    }
-}
-
-/// The `GOPIM_PROFILE_FOLDED` destination path, if set.
-pub fn folded_path() -> Option<String> {
-    env_path("GOPIM_PROFILE_FOLDED")
-}
-
-/// The `GOPIM_MANIFEST` destination path, if set.
-pub fn manifest_path() -> Option<String> {
-    env_path("GOPIM_MANIFEST")
 }
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -214,25 +162,29 @@ pub fn now_ns() -> u64 {
 #[must_use = "telemetry flushes when the guard drops"]
 pub struct TelemetryGuard {
     trace_path: Option<String>,
-    profile: Option<ProfileDest>,
+    /// `1` or `stderr` prints the profile; anything else is a path.
+    profile: Option<String>,
     folded_path: Option<String>,
     manifest_path: Option<String>,
     command: String,
 }
 
-/// Initializes telemetry from the environment and returns the guard
-/// that exports everything on drop. Safe to call when no telemetry
-/// env var is set — the guard is then inert.
+/// Initializes telemetry from the config and returns the guard that
+/// exports everything on drop. Parsing the config here logs its
+/// warnings (unknown or malformed `GOPIM_*` knobs) at the start of the
+/// run. Safe to call when no telemetry knob is set — the guard is then
+/// inert.
 pub fn attach() -> TelemetryGuard {
     // Pin the epoch at attach time so span timestamps are relative to
     // the start of the run, not to the first span.
     let _ = now_ns();
+    let env = env::get();
     let collecting = trace_enabled();
     TelemetryGuard {
-        trace_path: collecting.then(trace_path).flatten(),
-        profile: collecting.then(profile_dest).flatten(),
-        folded_path: collecting.then(folded_path).flatten(),
-        manifest_path: manifest_enabled().then(manifest_path).flatten(),
+        trace_path: env.trace.clone().filter(|_| collecting),
+        profile: env.profile.clone().filter(|_| collecting),
+        folded_path: env.profile_folded.clone().filter(|_| collecting),
+        manifest_path: env.manifest.clone().filter(|_| manifest_enabled()),
         command: std::env::args().collect::<Vec<_>>().join(" "),
     }
 }
@@ -270,11 +222,9 @@ impl Drop for TelemetryGuard {
             if self.profile.is_some() || self.folded_path.is_some() || self.manifest_path.is_some()
             {
                 let agg = aggregate::aggregate(&events, dropped);
-                match &self.profile {
-                    Some(ProfileDest::Stderr) => eprint!("{}", report::render_profile(&agg)),
-                    Some(ProfileDest::File(path)) => {
-                        write_artifact("profile", path, &report::render_profile(&agg));
-                    }
+                match self.profile.as_deref() {
+                    Some("1" | "stderr") => eprint!("{}", report::render_profile(&agg)),
+                    Some(path) => write_artifact("profile", path, &report::render_profile(&agg)),
                     None => {}
                 }
                 if let Some(path) = &self.folded_path {
@@ -297,8 +247,8 @@ impl Drop for TelemetryGuard {
             }
         }
         if lockdep_enabled() {
-            if let Some(path) = lockdep::dump_path() {
-                write_artifact("lockdep witness", &path, &lockdep::render_witness());
+            if let Some(path) = &env::get().lockdep_dump {
+                write_artifact("lockdep witness", path, &lockdep::render_witness());
             }
         }
     }

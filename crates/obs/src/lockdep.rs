@@ -28,11 +28,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::EnvFlag;
 
-static LOCKDEP: EnvFlag = EnvFlag::new(|| {
-    std::env::var("GOPIM_LOCKDEP")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-});
+static LOCKDEP: EnvFlag = EnvFlag::new(|| crate::env::get().lockdep);
 
 /// Whether the lockdep witness is on (`GOPIM_LOCKDEP=1`, or forced by
 /// [`set_lockdep_enabled`]). The disabled path is a relaxed load.
@@ -41,18 +37,10 @@ pub fn lockdep_enabled() -> bool {
     LOCKDEP.get()
 }
 
-/// Forces the witness on or off, overriding the environment — for
-/// tests that seed deliberate inversions.
+/// Forces the witness on or off, overriding the config — for tests
+/// that seed deliberate inversions.
 pub fn set_lockdep_enabled(on: bool) {
     LOCKDEP.set(on);
-}
-
-/// The `GOPIM_LOCKDEP_DUMP` destination path, if set.
-pub fn dump_path() -> Option<String> {
-    match std::env::var("GOPIM_LOCKDEP_DUMP") {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
 }
 
 /// The global order matrix. Class names are `&'static str`, so the

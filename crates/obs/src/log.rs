@@ -21,24 +21,25 @@ pub enum Level {
     Debug = 4,
 }
 
-/// 0 = unread from the environment; otherwise max enabled level + 1
-/// (so `1` means everything off).
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-fn level_from_env() -> u8 {
-    match std::env::var("GOPIM_LOG").as_deref() {
-        Ok("off" | "none" | "0") => 0,
-        Ok("error") => Level::Error as u8,
-        Ok("warn") => Level::Warn as u8,
-        Ok("debug") => Level::Debug as u8,
-        // info, unset, or unrecognized: the default.
-        _ => Level::Info as u8,
+impl Level {
+    /// The lowercase name `GOPIM_LOG` spells the level with.
+    pub fn name(self) -> &'static str {
+        match self {
+            Level::Error => "error",
+            Level::Warn => "warn",
+            Level::Info => "info",
+            Level::Debug => "debug",
+        }
     }
 }
 
+/// 0 = not yet seeded from the config; otherwise max enabled level + 1
+/// (so `1` means everything off).
+static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
+
 #[cold]
 fn init() -> u8 {
-    let max = level_from_env() + 1;
+    let max = crate::env::get().log.map_or(0, |l| l as u8) + 1;
     MAX_LEVEL.store(max, Ordering::Relaxed);
     max
 }
@@ -63,13 +64,7 @@ pub fn set_max_level(level: Option<Level>) {
 /// Formats and writes one line to stderr; the macros call this after
 /// their level check so formatting never runs for disabled levels.
 pub fn emit(level: Level, message: std::fmt::Arguments<'_>) {
-    let tag = match level {
-        Level::Error => "error",
-        Level::Warn => "warn",
-        Level::Info => "info",
-        Level::Debug => "debug",
-    };
-    eprintln!("[gopim {tag}] {message}");
+    eprintln!("[gopim {}] {message}", level.name());
 }
 
 /// Logs at [`Level::Error`] (`format!`-style arguments).

@@ -1,7 +1,8 @@
 //! Run manifests: a self-describing JSON artifact per run
-//! (`GOPIM_MANIFEST=<path>`) capturing the command line, environment
-//! knobs, recorded fields (config hash, thread count, cache stats),
-//! the metrics snapshot, and span aggregates with p50/p95/p99.
+//! (`GOPIM_MANIFEST=<path>`) capturing the command line, the effective
+//! value of every `GOPIM_*` knob, recorded fields (config hash, thread
+//! count, cache stats), the metrics snapshot, and span aggregates with
+//! p50/p95/p99.
 //!
 //! Other crates cannot be dependencies of `gopim-obs`, so they push
 //! their facts *in*: scalar facts via [`record_u64`] / [`record_f64`]
@@ -19,7 +20,7 @@ use crate::export::{escape_json, parse_json, Json};
 use crate::metrics::Snapshot;
 
 /// Schema identifier stamped into (and required from) every manifest.
-pub const SCHEMA: &str = "gopim.manifest/v1";
+pub const SCHEMA: &str = "gopim.manifest/v2";
 
 /// A recorded manifest field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,14 +93,16 @@ fn collected_fields() -> BTreeMap<String, Value> {
     fields
 }
 
-fn push_kv_block<'a, I: Iterator<Item = (&'a String, String)>>(out: &mut String, entries: I) {
-    let mut first = true;
-    for (k, rendered) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {rendered}", escape_json(k)));
+/// Renders `entries` as a JSON object, one member per line, closing at
+/// `indent`; `{}` when empty.
+fn object<K: AsRef<str>>(indent: &str, entries: impl Iterator<Item = (K, String)>) -> String {
+    let members: Vec<String> = entries
+        .map(|(k, v)| format!("\n{indent}  \"{}\": {v}", escape_json(k.as_ref())))
+        .collect();
+    if members.is_empty() {
+        "{}".to_string()
+    } else {
+        format!("{{{}\n{indent}}}", members.join(","))
     }
 }
 
@@ -109,60 +112,28 @@ fn push_kv_block<'a, I: Iterator<Item = (&'a String, String)>>(out: &mut String,
 /// span aggregation of the drained collector, `metrics` the global
 /// registry snapshot taken at flush time.
 pub fn render_manifest(command: &str, agg: &SpanAggregate, metrics: &Snapshot) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"command\": \"{}\",\n", escape_json(command)));
-    out.push_str(&format!(
-        "  \"threads_available\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-
-    // Environment knobs: every GOPIM_* variable, sorted, so a manifest
-    // pins the exact configuration that produced the run.
-    let env: BTreeMap<String, String> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("GOPIM_"))
-        .collect();
-    out.push_str("  \"env\": {");
-    push_kv_block(
-        &mut out,
-        env.iter()
-            .map(|(k, v)| (k, format!("\"{}\"", escape_json(v)))),
+    // The effective config: every knob the program parses, with the
+    // value the run used, so a manifest pins the exact configuration.
+    let config = crate::env::get().effective.iter();
+    let config = object(
+        "  ",
+        config.map(|(k, v)| (k, format!("\"{}\"", escape_json(v)))),
     );
-    out.push_str(if env.is_empty() { "},\n" } else { "\n  },\n" });
-
     // Recorded fields plus provider output.
     let fields = collected_fields();
-    out.push_str("  \"fields\": {");
-    push_kv_block(&mut out, fields.iter().map(|(k, v)| (k, v.render())));
-    out.push_str(if fields.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-
+    let fields = object("  ", fields.iter().map(|(k, v)| (k, v.render())));
     // Metrics snapshot: counters and gauges verbatim, histograms as
     // derived summaries (count/sum/mean plus interpolated quantiles).
-    out.push_str("  \"metrics\": {\n    \"counters\": {");
-    push_kv_block(
-        &mut out,
-        metrics.counters.iter().map(|(k, v)| (k, format!("{v}"))),
+    let counters = object(
+        "    ",
+        metrics.counters.iter().map(|(k, v)| (k, v.to_string())),
     );
-    out.push_str(if metrics.counters.is_empty() {
-        "},\n    \"gauges\": {"
-    } else {
-        "\n    },\n    \"gauges\": {"
-    });
-    push_kv_block(
-        &mut out,
-        metrics.gauges.iter().map(|(k, v)| (k, format!("{v}"))),
+    let gauges = object(
+        "    ",
+        metrics.gauges.iter().map(|(k, v)| (k, v.to_string())),
     );
-    out.push_str(if metrics.gauges.is_empty() {
-        "},\n    \"histograms\": {"
-    } else {
-        "\n    },\n    \"histograms\": {"
-    });
-    push_kv_block(
-        &mut out,
+    let histograms = object(
+        "    ",
         metrics.histograms.iter().map(|(k, h)| {
             (
                 k,
@@ -179,19 +150,8 @@ pub fn render_manifest(command: &str, agg: &SpanAggregate, metrics: &Snapshot) -
             )
         }),
     );
-    out.push_str(if metrics.histograms.is_empty() {
-        "}\n  },\n"
-    } else {
-        "\n    }\n  },\n"
-    });
-
-    // Span aggregates.
-    out.push_str(&format!(
-        "  \"spans\": {{\n    \"events\": {},\n    \"dropped\": {},\n    \"labels\": {{",
-        agg.spans, agg.dropped
-    ));
-    push_kv_block(
-        &mut out,
+    let labels = object(
+        "    ",
         agg.labels.iter().map(|(k, s)| {
             (
                 k,
@@ -211,12 +171,17 @@ pub fn render_manifest(command: &str, agg: &SpanAggregate, metrics: &Snapshot) -
             )
         }),
     );
-    out.push_str(if agg.labels.is_empty() {
-        "}\n  }\n}\n"
-    } else {
-        "\n    }\n  }\n}\n"
-    });
-    out
+    format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"command\": \"{}\",\n  \"threads_available\": {},\n  \
+         \"config\": {config},\n  \"fields\": {fields},\n  \"metrics\": {{\n    \
+         \"counters\": {counters},\n    \"gauges\": {gauges},\n    \"histograms\": {histograms}\n  \
+         }},\n  \"spans\": {{\n    \"events\": {},\n    \"dropped\": {},\n    \"labels\": {labels}\n  \
+         }}\n}}\n",
+        escape_json(command),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        agg.spans,
+        agg.dropped,
+    )
 }
 
 fn req_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
@@ -226,7 +191,8 @@ fn req_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
 }
 
 /// Validates a manifest document: parses it with the in-repo JSON
-/// parser, checks the schema tag and required sections, and verifies
+/// parser, checks the schema tag and required sections (the config
+/// section must carry every knob the program parses), and verifies
 /// per-label invariants (`self ≤ total`, `p50 ≤ p95 ≤ p99`). Returns
 /// the number of span labels.
 ///
@@ -244,10 +210,17 @@ pub fn validate_manifest(text: &str) -> Result<usize, String> {
         .and_then(Json::as_str)
         .ok_or("missing command string")?;
     req_num(&doc, "threads_available", "manifest")?;
-    for section in ["env", "fields", "metrics", "spans"] {
+    for section in ["config", "fields", "metrics", "spans"] {
         if !matches!(doc.get(section), Some(Json::Obj(_))) {
             return Err(format!("missing object section '{section}'"));
         }
+    }
+    let config = doc.get("config").ok_or("missing config")?;
+    for (knob, _) in crate::env::Env::from_vars(Vec::<(String, String)>::new()).effective {
+        config
+            .get(knob)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("config: missing knob '{knob}'"))?;
     }
     let metrics = doc.get("metrics").ok_or("missing metrics")?;
     for sub in ["counters", "gauges", "histograms"] {
@@ -353,6 +326,12 @@ mod tests {
         assert!(validate_manifest("{}").is_err());
         assert!(validate_manifest(&text.replace(SCHEMA, "other/v0")).is_err());
         assert!(validate_manifest(&text.replace("\"spans\"", "\"nope\"")).is_err());
+        // Every parsed knob must appear in the effective config.
+        let dropped_knob = text.replace("\"GOPIM_THREADS\"", "\"GOPIM_X\"");
+        assert_ne!(dropped_knob, text, "config carries GOPIM_THREADS");
+        assert!(validate_manifest(&dropped_knob)
+            .unwrap_err()
+            .contains("GOPIM_THREADS"));
         // Corrupt an invariant: outer's self time beyond its total.
         let broken = text.replace("\"self_ns\": 400", "\"self_ns\": 999999999");
         assert_ne!(broken, text, "fixture self_ns changed?");

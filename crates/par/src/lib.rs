@@ -30,7 +30,7 @@
 
 pub mod pool;
 
-pub use pool::{current, env_threads, Pool};
+pub use pool::{current, Pool};
 
 /// Parallelism of the pool the primitives would dispatch to right now.
 pub fn num_threads() -> usize {

@@ -241,34 +241,18 @@ impl Drop for InstallGuard {
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
-/// Pool size from the environment: `GOPIM_THREADS` when set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn env_threads() -> usize {
-    match std::env::var("GOPIM_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => available(),
-        },
-        Err(_) => available(),
-    }
-}
-
-fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The pool the `par_*` primitives dispatch to: the innermost
 /// [`Pool::install`] on this thread, else the lazily-created global
-/// pool (sized by [`env_threads`] on first use).
+/// pool (sized by `GOPIM_THREADS`, default the available cores).
 pub fn current() -> Pool {
     if let Some(pool) = OVERRIDE.with(|stack| stack.borrow().last().cloned()) {
         return pool;
     }
     GLOBAL
         .get_or_init(|| {
-            let n = env_threads();
+            let n = gopim_obs::env::get()
+                .threads
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
             // One-time fact for the run manifest (no-op unless
             // GOPIM_MANIFEST is set).
             gopim_obs::manifest::record_u64("par.threads", n as u64);

@@ -104,31 +104,6 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Defaults overridden by `GOPIM_SERVE_WORKERS`,
-    /// `GOPIM_SERVE_QUEUE` and `GOPIM_SERVE_READ_TIMEOUT_MS`
-    /// (unparsable values fall back silently — a server must come up).
-    pub fn from_env() -> Self {
-        let mut cfg = ServerConfig::default();
-        let get = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-        };
-        if let Some(v) = get("GOPIM_SERVE_WORKERS") {
-            cfg.workers = v as usize;
-        }
-        if let Some(v) = get("GOPIM_SERVE_QUEUE") {
-            cfg.max_queue = v as usize;
-        }
-        if let Some(v) = get("GOPIM_SERVE_READ_TIMEOUT_MS") {
-            cfg.read_timeout = Duration::from_millis(v);
-        }
-        cfg
-    }
-}
-
 /// What phase an admitted, unanswered job is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {

@@ -117,15 +117,12 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner with env-configured budgets.
+    /// A runner with config-driven budgets (`GOPIM_BENCH_FAST`,
+    /// `GOPIM_BENCH_SAMPLES`).
     pub fn new(group: &str) -> Self {
-        let fast = std::env::var("GOPIM_BENCH_FAST")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        let samples = std::env::var("GOPIM_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(if fast { 7 } else { 15 });
+        let env = gopim_obs::env::get();
+        let fast = env.bench_fast;
+        let samples = env.bench_samples.unwrap_or(if fast { 7 } else { 15 });
         let (warmup_ms, sample_ms) = if fast { (10, 5) } else { (150, 50) };
         eprintln!("== bench group '{group}' ({samples} samples, median ± MAD) ==");
         Runner {
@@ -210,12 +207,12 @@ impl Runner {
     /// set, to stdout otherwise — and returns the summaries.
     pub fn finish(self) -> Vec<Summary> {
         let lines: String = self.results.iter().map(|s| s.to_json() + "\n").collect();
-        match std::env::var("GOPIM_BENCH_JSON") {
-            Ok(path) if !path.is_empty() => {
+        match &gopim_obs::env::get().bench_json {
+            Some(path) => {
                 let mut file = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(&path)
+                    .open(path)
                     // lint:allow(no-panic-in-lib): bench harness aborts loudly on an unusable GOPIM_BENCH_JSON path
                     .unwrap_or_else(|e| panic!("GOPIM_BENCH_JSON={path}: {e}"));
                 file.write_all(lines.as_bytes())
@@ -224,7 +221,7 @@ impl Runner {
                 eprintln!("  (JSON appended to {path})");
             }
             // lint:allow(no-print-in-lib): JSON records go to stdout when no GOPIM_BENCH_JSON sink is set
-            _ => print!("{lines}"),
+            None => print!("{lines}"),
         }
         self.results
     }

@@ -40,12 +40,6 @@ fn snapshot_path(name: &str) -> PathBuf {
     golden_dir().join(format!("{name}.txt"))
 }
 
-fn update_mode() -> bool {
-    std::env::var("GOPIM_GOLDEN")
-        .map(|v| v == "update")
-        .unwrap_or(false)
-}
-
 /// Compares `content` against `tests/golden/<name>.txt` with the
 /// default tolerance, or rewrites the snapshot under
 /// `GOPIM_GOLDEN=update`.
@@ -61,7 +55,7 @@ pub fn check(name: &str, content: &str) {
 /// [`check`] with an explicit relative tolerance for numeric tokens.
 pub fn check_with_tolerance(name: &str, content: &str, rel_tol: f64) {
     let path = snapshot_path(name);
-    if update_mode() {
+    if gopim_obs::env::get().golden_update {
         // lint:allow(no-panic-in-lib): snapshot update mode aborts loudly on an unwritable golden dir
         fs::create_dir_all(golden_dir()).expect("create tests/golden");
         let mut normalized = content.trim_end().to_string();

@@ -63,8 +63,8 @@ impl Config {
 }
 
 fn env_seed() -> u64 {
-    match std::env::var("GOPIM_PT_SEED") {
-        Ok(s) => {
+    match &gopim_obs::env::get().pt_seed {
+        Some(s) => {
             let s = s.trim();
             let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
                 u64::from_str_radix(hex, 16)
@@ -74,18 +74,18 @@ fn env_seed() -> u64 {
             // lint:allow(no-panic-in-lib): property harness aborts loudly on a malformed replay seed
             parsed.unwrap_or_else(|_| panic!("GOPIM_PT_SEED must be a u64, got {s:?}"))
         }
-        Err(_) => DEFAULT_SEED,
+        None => DEFAULT_SEED,
     }
 }
 
 fn env_cases(default: usize) -> usize {
-    match std::env::var("GOPIM_PT_CASES") {
-        Ok(s) => s
+    match &gopim_obs::env::get().pt_cases {
+        Some(s) => s
             .trim()
             .parse()
             // lint:allow(no-panic-in-lib): property harness aborts loudly on a malformed case count
-            .unwrap_or_else(|_| panic!("GOPIM_PT_CASES must be a usize, got {s:?}", s = s)),
-        Err(_) => default,
+            .unwrap_or_else(|_| panic!("GOPIM_PT_CASES must be a usize, got {s:?}")),
+        None => default,
     }
 }
 

@@ -8,6 +8,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The flag rule every GOPIM_* switch follows (gopim_obs::env): on for
+# 1/true/yes/on in any case, off otherwise.
+flag_on() { case "${1,,}" in 1 | true | yes | on) return 0 ;; *) return 1 ;; esac; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -58,8 +62,12 @@ grep -q "== gopim metrics ==" "$SMOKE_DIR/traced.err" \
 cargo run --release --offline -p gopim-obs --example validate_trace -- \
     "$SMOKE_DIR/trace.json" \
     linalg.matmul par. pipeline.simulate runner.run_system sim.
+# The validator requires the effective-config section, naming every
+# knob the program parses; the traced run's own knobs must read as set.
 cargo run --release --offline -p gopim-obs --example validate_manifest -- \
     "$SMOKE_DIR/manifest.json" --require-spans
+grep -q '"GOPIM_METRICS": "on"' "$SMOKE_DIR/manifest.json" \
+    || { echo "verify: manifest config does not record GOPIM_METRICS=on"; exit 1; }
 grep -q "== gopim profile ==" "$SMOKE_DIR/profile.txt" \
     || { echo "verify: GOPIM_PROFILE wrote no profile report"; exit 1; }
 grep -q "p95" "$SMOKE_DIR/profile.txt" \
@@ -70,6 +78,18 @@ grep -q "p95" "$SMOKE_DIR/profile.txt" \
 awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } /;/ { nested = 1 }
      END { exit (bad || !nested) }' "$SMOKE_DIR/folded.txt" \
     || { echo "verify: folded-stack export is malformed"; exit 1; }
+
+echo "== unknown-knob smoke (fig04 --quick with a misspelled knob) =="
+# A typo must change nothing but stderr: stdout stays byte-identical
+# to the plain run, and exactly one warning names the misspelled knob
+# (GOPIM_LOG pinned so an inherited level cannot hide it).
+GOPIM_LOG=info GOPIM_NOCACHE=1 cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+    > "$SMOKE_DIR/typo.out" 2> "$SMOKE_DIR/typo.err"
+diff -u "$SMOKE_DIR/plain.out" "$SMOKE_DIR/typo.out" \
+    || { echo "verify: a misspelled knob changed fig04 stdout"; exit 1; }
+[ "$(grep -c '^\[gopim warn\]' "$SMOKE_DIR/typo.err")" = 1 ] \
+    && grep -q '^\[gopim warn\].*GOPIM_NOCACHE' "$SMOKE_DIR/typo.err" \
+    || { cat "$SMOKE_DIR/typo.err"; echo "verify: want exactly one warning naming GOPIM_NOCACHE"; exit 1; }
 
 echo "== bench-diff smoke (committed BENCH trajectories) =="
 # The classified comparison table over real record files, plus the
@@ -84,7 +104,7 @@ cargo run --release --offline -p gopim -- bench-diff --trajectory \
 grep -q "BENCH_pr7" "$SMOKE_DIR/trajectory.out" \
     || { echo "verify: trajectory table missing a file column"; exit 1; }
 
-if [ "${GOPIM_NO_PERF_RATCHET:-0}" != "1" ]; then
+if ! flag_on "${GOPIM_NO_PERF_RATCHET:-}"; then
     echo "== perf ratchet (skip with GOPIM_NO_PERF_RATCHET=1) =="
     scripts/perf_ratchet.sh
 else
@@ -114,7 +134,7 @@ awk '$1 == "counter" && $2 == "cache.disk_hits" && $3 > 0 { found = 1 }
      END { exit !found }' "$SMOKE_DIR/cache_warm.err" \
     || { echo "verify: warm fig04 run never touched the disk tier"; exit 1; }
 
-if [ "${GOPIM_NO_SERVE:-0}" != "1" ]; then
+if ! flag_on "${GOPIM_NO_SERVE:-}"; then
     echo "== serve smoke (loadgen --quick; skip with GOPIM_NO_SERVE=1) =="
     # The job server must survive a mixed burst over the wire protocol:
     # loadgen binds an ephemeral in-process server, drives a seeded
@@ -142,7 +162,7 @@ else
     echo "== serve smoke skipped (GOPIM_NO_SERVE=1) =="
 fi
 
-if [ "${GOPIM_NO_LOCKDEP:-0}" != "1" ]; then
+if ! flag_on "${GOPIM_NO_LOCKDEP:-}"; then
     echo "== lockdep leg (static lock graph × runtime witness; skip with GOPIM_NO_LOCKDEP=1) =="
     # The two halves of the concurrency analyzer must agree. First the
     # seeded ABBA fixture: the static pass must flag the inversion and
@@ -170,7 +190,7 @@ if [ "${GOPIM_NO_LOCKDEP:-0}" != "1" ]; then
     diff -u "$SMOKE_DIR/plain.out" "$SMOKE_DIR/lockdep_fig04.out" \
         || { echo "verify: lockdep changed fig04 stdout"; exit 1; }
     WITNESSES=("$SMOKE_DIR/fig04_witness.json")
-    if [ "${GOPIM_NO_SERVE:-0}" != "1" ]; then
+    if ! flag_on "${GOPIM_NO_SERVE:-}"; then
         # loadgen exercises the serve/par/cache lock stacks with the
         # metrics registry enabled — the densest witness we can record.
         # (Its stdout carries real ports and wall-clock quantiles, so
