@@ -1,11 +1,14 @@
 //! Microbenchmarks for sparse Â·X aggregation (the GCN Aggregation
 //! stage): symmetric-normalized propagation and the SAGE-style mean
-//! aggregator over synthetic power-law graphs.
+//! aggregator over synthetic power-law graphs, plus `Â·X` on the ddi
+//! training graph of the `gcn_train` benchmark at its three feature
+//! widths (hidden 48, Cora's 7 classes, the link datasets' 2).
 //!
 //! `GOPIM_THREADS` controls the pool fan-out; outputs are row-wise
 //! deterministic, so every thread count produces identical bits.
 
 use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
+use gopim_graph::datasets::Dataset;
 use gopim_graph::generate::{chung_lu, power_law_profile};
 use gopim_linalg::Matrix;
 use gopim_testkit::bench::Runner;
@@ -30,6 +33,15 @@ fn main() {
         });
         let mean = MeanAggregator::new();
         runner.bench(&format!("mean/{n}v-d{d}"), || mean.propagate(&graph, &x));
+    }
+    let (graph, _) = Dataset::Ddi.numeric_graph(1200, 1);
+    let norm = NormalizedAdjacency::new(&graph);
+    for d in [48usize, 7, 2] {
+        let x = features(graph.num_vertices(), d);
+        let mut out = Matrix::zeros(graph.num_vertices(), d);
+        runner.bench(&format!("normalized/1200v-d{d}"), || {
+            norm.apply_into(&graph, &x, &mut out)
+        });
     }
     runner.finish();
 }

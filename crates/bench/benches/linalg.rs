@@ -1,5 +1,5 @@
-//! Microbenchmarks for the dense linear-algebra hot path: square and
-//! MLP-shaped matmuls plus an allocation-free `matmul_into` loop.
+//! Microbenchmarks for the dense linear-algebra hot path: square,
+//! MLP-shaped and GCN-shaped matmuls.
 //!
 //! These are the kernels behind the Time Predictor's training
 //! (`gopim-linalg::Mlp`) and the GCN Combination stages; the
@@ -34,5 +34,21 @@ fn main() {
     let w2 = filled(256, 1);
     runner.bench("matmul/mlp-64x10x256", || x.matmul(&w1));
     runner.bench("matmul/mlp-64x256x1", || h.matmul(&w2));
+    // The GCN training shapes of the `gcn_train` benchmark (1200
+    // vertices, hidden width 48, 7 Cora classes): the combination
+    // `X·W` and the weight gradient `Xᵀ·δ`, hidden and output layer.
+    for &(m, k, n) in &[
+        (1200usize, 48usize, 48usize),
+        (1200, 48, 7),
+        (48, 1200, 48),
+        (48, 1200, 7),
+    ] {
+        let a = filled(m, k);
+        let b = filled(k, n);
+        let mut out = Matrix::zeros(m, n);
+        runner.bench(&format!("matmul/{m}x{k}x{n}"), || {
+            a.matmul_into(&b, &mut out)
+        });
+    }
     runner.finish();
 }

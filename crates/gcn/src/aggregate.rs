@@ -103,8 +103,8 @@ impl NormalizedAdjacency {
         // Per-row accumulation order (self-loop, then neighbors in
         // CSR order) is fixed, so the bits match the serial loop at
         // every thread count; the whole per-vertex gather goes through
-        // `gopim_linalg::simd::gather_row`, whose SIMD and scalar
-        // paths are bit-identical.
+        // `gopim_linalg::simd::gather_row`, a register-tile kernel
+        // pinned bit-identical to its scalar reference.
         let block_rows = n.div_ceil(gopim_par::num_threads() * 4).clamp(1, n);
         let xs = x.as_slice();
         gopim_par::par_chunks_mut(out.as_mut_slice(), block_rows * d, |block, chunk| {

@@ -124,6 +124,63 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
+/// One training epoch: BCE over the training positives and
+/// `negatives_per_positive` sampled negatives each, one Adam step, and
+/// the epoch's temporaries returned to the model's arena. Returns the
+/// mean loss.
+#[allow(clippy::too_many_arguments)] // one argument per training input
+fn link_epoch(
+    model: &mut GcnModel,
+    split: &EdgeSplit,
+    norm: &NormalizedAdjacency,
+    x: &Matrix,
+    cache: Option<&mut StaleFeatureCache>,
+    negatives_per_positive: usize,
+    rng: &mut SmallRng,
+    epoch: usize,
+) -> f64 {
+    let graph = &split.train_graph;
+    let n = graph.num_vertices();
+    let caches = model.forward_with_caches(graph, norm, x, cache, epoch);
+    let h = caches.output();
+    // BCE over positives and sampled negatives; accumulate ∂L/∂h.
+    let mut delta = model.output_grad(&caches);
+    let mut loss = 0.0f64;
+    let mut count = 0.0f64;
+    let mut accumulate = |u: usize, v: usize, label: f64, delta: &mut Matrix| {
+        let s = dot(h.row(u), h.row(v));
+        let p = sigmoid(s);
+        loss -= if label > 0.5 {
+            p.max(1e-12).ln()
+        } else {
+            (1.0 - p).max(1e-12).ln()
+        };
+        count += 1.0;
+        let g = p - label; // dL/ds
+        for k in 0..h.cols() {
+            delta[(u, k)] += g * h[(v, k)];
+            delta[(v, k)] += g * h[(u, k)];
+        }
+    };
+    for &(u, v) in &split.train_pos {
+        accumulate(u as usize, v as usize, 1.0, &mut delta);
+        for _ in 0..negatives_per_positive {
+            let nu = rng.gen_range(0..n);
+            let nv = rng.gen_range(0..n);
+            if nu != nv && !graph.has_edge(nu, nv) {
+                accumulate(nu, nv, 0.0, &mut delta);
+            }
+        }
+    }
+    // Mean gradient.
+    for g in delta.as_mut_slice() {
+        *g /= count.max(1.0);
+    }
+    model.backward(graph, norm, &caches, delta);
+    model.recycle_caches(caches);
+    loss / count.max(1.0)
+}
+
 /// Trains a GCN encoder + inner-product decoder on `split` and reports
 /// Hits@20.
 ///
@@ -158,43 +215,16 @@ pub fn train_link_predictor(split: &EdgeSplit, options: &LinkTrainOptions) -> Li
 
     let mut final_loss = 0.0;
     for epoch in 0..options.epochs {
-        let caches = model.forward_with_caches(graph, &norm, &x, cache.as_mut(), epoch);
-        let h = caches.output().clone();
-        // BCE over positives and sampled negatives; accumulate ∂L/∂h.
-        let mut delta = Matrix::zeros(n, h.cols());
-        let mut loss = 0.0f64;
-        let mut count = 0.0f64;
-        let mut accumulate = |u: usize, v: usize, label: f64, h: &Matrix, delta: &mut Matrix| {
-            let s = dot(h.row(u), h.row(v));
-            let p = sigmoid(s);
-            loss -= if label > 0.5 {
-                p.max(1e-12).ln()
-            } else {
-                (1.0 - p).max(1e-12).ln()
-            };
-            count += 1.0;
-            let g = p - label; // dL/ds
-            for k in 0..h.cols() {
-                delta[(u, k)] += g * h[(v, k)];
-                delta[(v, k)] += g * h[(u, k)];
-            }
-        };
-        for &(u, v) in &split.train_pos {
-            accumulate(u as usize, v as usize, 1.0, &h, &mut delta);
-            for _ in 0..options.negatives_per_positive {
-                let nu = rng.gen_range(0..n);
-                let nv = rng.gen_range(0..n);
-                if nu != nv && !graph.has_edge(nu, nv) {
-                    accumulate(nu, nv, 0.0, &h, &mut delta);
-                }
-            }
-        }
-        // Mean gradient.
-        for g in delta.as_mut_slice() {
-            *g /= count.max(1.0);
-        }
-        final_loss = loss / count.max(1.0);
-        model.backward(graph, &norm, &caches, delta);
+        final_loss = link_epoch(
+            &mut model,
+            split,
+            &norm,
+            &x,
+            cache.as_mut(),
+            options.negatives_per_positive,
+            &mut rng,
+            epoch,
+        );
     }
 
     // Evaluation: Hits@20 vs 100 random negatives per test positive.
@@ -277,6 +307,38 @@ mod tests {
         let a = train_link_predictor(&split, &LinkTrainOptions::quick_test());
         let b = train_link_predictor(&split, &LinkTrainOptions::quick_test());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn link_training_arena_stays_flat_across_epochs() {
+        let split = task(5);
+        let graph = &split.train_graph;
+        let n = graph.num_vertices();
+        let x = synthetic_features(&vec![0u32; n], 1, 8, 6);
+        let norm = NormalizedAdjacency::new(graph);
+        for selective in [None, Some(SelectivePolicy::with_theta(0.5, 20))] {
+            let mut model = GcnModel::new(&[x.cols(), 16, 16], 0.01, 7);
+            let mut cache = selective.map(|policy| {
+                let important = policy.important_vertices(&graph.to_degree_profile());
+                StaleFeatureCache::new(2, important, policy)
+            });
+            let mut rng = SmallRng::seed_from_u64(8);
+            let mut free = Vec::new();
+            for epoch in 0..40 {
+                link_epoch(
+                    &mut model,
+                    &split,
+                    &norm,
+                    &x,
+                    cache.as_mut(),
+                    1,
+                    &mut rng,
+                    epoch,
+                );
+                free.push(model.arena_free_buffers());
+            }
+            assert_eq!(free[2], free[39], "{selective:?}: free list grew: {free:?}");
+        }
     }
 
     #[test]

@@ -183,11 +183,12 @@ pub fn train_minibatch(
             }
             let (loss, seed_grad) = softmax_cross_entropy(&seed_logits, &seed_labels);
             batch_loss += loss;
-            let mut delta = Matrix::zeros(logits.rows(), logits.cols());
+            let mut delta = model.output_grad(&caches);
             for i in 0..block.num_seeds {
                 delta.row_mut(i).copy_from_slice(seed_grad.row(i));
             }
             let grads = model.gradients(&block.subgraph, &norm, &caches, delta);
+            model.recycle_caches(caches);
             match grad_acc.as_mut() {
                 None => grad_acc = Some(grads),
                 Some(acc) => {

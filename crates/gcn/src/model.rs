@@ -20,12 +20,17 @@ use crate::selective::StaleFeatureCache;
 /// Aggregation (`Â·C`), with ReLU on every layer but the last.
 ///
 /// Per-epoch temporaries (layer inputs, combination outputs,
-/// aggregation outputs, backward deltas and transposes) come from an
-/// internal [`BufferArena`]; after [`GcnModel::recycle_caches`] (which
-/// [`GcnModel::train_epoch`] calls automatically) the steady-state
-/// epoch loop performs no heap allocation for them. Arena buffers are
-/// zero-filled on allocation, so the training trajectories stay
-/// bit-identical to the allocating implementation.
+/// aggregation outputs, the output gradient, backward deltas and
+/// transposes) come from an internal [`BufferArena`] and go back to
+/// it: [`GcnModel::gradients`] recycles its deltas,
+/// [`GcnModel::recycle_caches`] (which [`GcnModel::train_epoch`] calls
+/// itself) the forward buffers. Every buffer the arena holds is one it
+/// handed out, so after the first epoch its free list stays at one
+/// buffer per live temporary (11 for a 3-layer model) and the epoch
+/// loop stops allocating them; the unit tests pin that for plain, ISU
+/// and link training. Arena buffers are zero-filled on allocation, so
+/// the training trajectories stay bit-identical to the allocating
+/// implementation.
 #[derive(Debug, Clone)]
 pub struct GcnModel {
     weights: Vec<Matrix>,
@@ -113,22 +118,22 @@ impl GcnModel {
             let w = &self.weights[l];
             let mut combined = arena.alloc(n, w.cols());
             input.matmul_into(w, &mut combined);
-            // With an ISU cache, `observe` substitutes stale rows into
-            // a fresh matrix and `combined` goes back to the arena;
-            // without one, `combined` is observed as-is.
-            let (observed, stale, spent) = match cache.as_deref_mut() {
+            // With an ISU cache, the aggregation reads the cache's own
+            // matrix (this epoch's rows written in place, the rest
+            // stale); either way `combined` goes back to the arena.
+            let mut aggregated = arena.alloc(n, w.cols());
+            let stale = match cache.as_deref_mut() {
                 Some(c) => {
-                    let (o, s) = c.observe(l, epoch, &combined);
-                    (o, s, Some(combined))
+                    let (observed, stale) = c.observe(l, epoch, &combined);
+                    prop.propagate_into(graph, observed, &mut aggregated);
+                    stale
                 }
-                None => (combined, vec![false; n], None),
+                None => {
+                    prop.propagate_into(graph, &combined, &mut aggregated);
+                    vec![false; n]
+                }
             };
-            let mut aggregated = arena.alloc(n, observed.cols());
-            prop.propagate_into(graph, &observed, &mut aggregated);
-            arena.recycle(observed);
-            if let Some(m) = spent {
-                arena.recycle(m);
-            }
+            arena.recycle(combined);
             stale_masks.push(stale);
             h = if l == last {
                 // The output layer is linear; `aggregated` below is
@@ -158,6 +163,22 @@ impl GcnModel {
         for m in caches.inputs.into_iter().chain(caches.pre_acts) {
             arena.recycle(m);
         }
+    }
+
+    /// A zeroed output gradient (`∂L/∂output`) shaped like
+    /// `caches.output()`, backed by the model's arena. Hand it to
+    /// [`GcnModel::gradients`] or [`GcnModel::backward`], which return
+    /// its storage to the arena, so the free list stays bounded.
+    pub(crate) fn output_grad(&self, caches: &ForwardCaches) -> Matrix {
+        let (rows, cols) = caches.output().shape();
+        self.scratch.borrow_mut().alloc(rows, cols)
+    }
+
+    /// Number of buffers on the model's arena free list (the
+    /// bounded-arena tests watch it stay flat across epochs).
+    #[cfg(test)]
+    pub(crate) fn arena_free_buffers(&self) -> usize {
+        self.scratch.borrow().free_buffers()
     }
 
     /// Computes per-layer weight gradients for an arbitrary output
@@ -279,26 +300,40 @@ impl GcnModel {
         assert_eq!(labels.len(), n, "one label per vertex");
         assert_eq!(train_mask.len(), n, "one mask bit per vertex");
         let caches = self.forward_with_caches(graph, prop, x, cache, epoch);
-        let logits = caches.output();
-
-        // Masked loss: only training vertices contribute.
-        let train_rows: Vec<usize> = (0..n).filter(|&v| train_mask[v]).collect();
-        assert!(!train_rows.is_empty(), "empty training mask");
-        let mut tr_logits = Matrix::zeros(train_rows.len(), logits.cols());
-        let mut tr_labels = Vec::with_capacity(train_rows.len());
-        for (i, &v) in train_rows.iter().enumerate() {
-            tr_logits.row_mut(i).copy_from_slice(logits.row(v));
-            tr_labels.push(labels[v]);
-        }
-        let (loss, tr_grad) = softmax_cross_entropy(&tr_logits, &tr_labels);
-        let mut delta = Matrix::zeros(n, logits.cols());
-        for (i, &v) in train_rows.iter().enumerate() {
-            delta.row_mut(v).copy_from_slice(tr_grad.row(i));
-        }
+        let mut delta = self.output_grad(&caches);
+        let loss = masked_cross_entropy(caches.output(), labels, train_mask, &mut delta);
         self.backward(graph, prop, &caches, delta);
         self.recycle_caches(caches);
         loss
     }
+}
+
+/// Masked softmax cross-entropy over the `mask` rows of `logits`:
+/// returns the mean loss over those rows and writes `∂L/∂logits` into
+/// `delta` (zero on unmasked rows, which `delta` must already be).
+///
+/// # Panics
+///
+/// Panics if the mask selects no row.
+pub(crate) fn masked_cross_entropy(
+    logits: &Matrix,
+    labels: &[u32],
+    mask: &[bool],
+    delta: &mut Matrix,
+) -> f64 {
+    let rows: Vec<usize> = (0..labels.len()).filter(|&v| mask[v]).collect();
+    assert!(!rows.is_empty(), "empty training mask");
+    let mut sub = Matrix::zeros(rows.len(), logits.cols());
+    let mut sub_labels = Vec::with_capacity(rows.len());
+    for (i, &v) in rows.iter().enumerate() {
+        sub.row_mut(i).copy_from_slice(logits.row(v));
+        sub_labels.push(labels[v]);
+    }
+    let (loss, grad) = softmax_cross_entropy(&sub, &sub_labels);
+    for (i, &v) in rows.iter().enumerate() {
+        delta.row_mut(v).copy_from_slice(grad.row(i));
+    }
+    loss
 }
 
 /// Everything recorded by [`GcnModel::forward_with_caches`] for a
@@ -399,6 +434,29 @@ mod tests {
         }
         let acc = accuracy(&model.forward(&g, &sage, &x), &labels);
         assert!(acc > 0.8, "SAGE accuracy {acc}");
+    }
+
+    #[test]
+    fn arena_free_list_stays_flat_across_epochs() {
+        use gopim_mapping::SelectivePolicy;
+        let (g, labels) = planted_partition(200, 3, 10.0, 8.0, 4);
+        let norm = NormalizedAdjacency::new(&g);
+        let x = features_from_labels(&labels, 3, 5);
+        let mask: Vec<bool> = (0..200).map(|v| v % 5 < 3).collect();
+        let policy = SelectivePolicy::with_theta(0.5, 10);
+        for isu in [false, true] {
+            let mut model = GcnModel::new(&[5, 16, 16, 3], 0.02, 6);
+            let mut cache = isu.then(|| {
+                let important = policy.important_vertices(&g.to_degree_profile());
+                StaleFeatureCache::new(3, important, policy)
+            });
+            let mut free = Vec::new();
+            for e in 0..40 {
+                model.train_epoch(&g, &norm, &x, &labels, &mask, cache.as_mut(), e);
+                free.push(model.arena_free_buffers());
+            }
+            assert_eq!(free[2], free[39], "isu={isu}: free list grew: {free:?}");
+        }
     }
 
     #[test]

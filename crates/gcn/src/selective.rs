@@ -57,31 +57,28 @@ impl StaleFeatureCache {
         self.important.iter().filter(|&&i| !i).count()
     }
 
-    /// Applies the update schedule for `epoch` at `layer`: refreshes
-    /// the cached rows that update this epoch and returns the matrix
-    /// the aggregation actually sees, along with a mask of rows that
-    /// were served stale (no gradient flows through those).
+    /// Applies the update schedule for `epoch` at `layer`: writes the
+    /// rows that update this epoch into the cached matrix in place and
+    /// lends that matrix out — it is what the aggregation actually
+    /// sees — along with a mask of rows that were served stale (no
+    /// gradient flows through those).
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of range or `fresh` has the wrong row
     /// count.
-    pub fn observe(&mut self, layer: usize, epoch: usize, fresh: &Matrix) -> (Matrix, Vec<bool>) {
+    pub fn observe(&mut self, layer: usize, epoch: usize, fresh: &Matrix) -> (&Matrix, Vec<bool>) {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
         assert_eq!(
             fresh.rows(),
             self.important.len(),
             "one row per vertex expected"
         );
-        let slot = &mut self.layers[layer];
-        match slot {
-            None => {
-                // First epoch: everything is written.
-                *slot = Some(fresh.clone());
-                (fresh.clone(), vec![false; fresh.rows()])
-            }
+        let mut stale = vec![false; fresh.rows()];
+        let cached = match &mut self.layers[layer] {
+            // First epoch: everything is written.
+            slot @ None => slot.insert(fresh.clone()),
             Some(cached) => {
-                let mut stale = vec![false; fresh.rows()];
                 for (v, flag) in stale.iter_mut().enumerate() {
                     if !self.frozen[v] && self.policy.updates_in_epoch(self.important[v], epoch) {
                         cached.row_mut(v).copy_from_slice(fresh.row(v));
@@ -89,9 +86,10 @@ impl StaleFeatureCache {
                         *flag = true;
                     }
                 }
-                (cached.clone(), stale)
+                cached
             }
-        }
+        };
+        (cached, stale)
     }
 }
 
@@ -108,7 +106,7 @@ mod tests {
         let mut cache = StaleFeatureCache::new(1, vec![true, false], policy());
         let fresh = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let (seen, stale) = cache.observe(0, 0, &fresh);
-        assert_eq!(seen, fresh);
+        assert_eq!(*seen, fresh);
         assert_eq!(stale, vec![false, false]);
     }
 

@@ -9,26 +9,8 @@ use gopim_rng::rngs::SmallRng;
 use gopim_rng::{Rng, SeedableRng};
 
 use crate::aggregate::NormalizedAdjacency;
-use crate::model::GcnModel;
+use crate::model::{masked_cross_entropy, GcnModel};
 use crate::selective::StaleFeatureCache;
-
-/// Cross-entropy on masked rows, returning the loss and the full-size
-/// output gradient (zero on unmasked rows).
-fn masked_ce(logits: &Matrix, labels: &[u32], mask: &[bool]) -> (f64, Matrix) {
-    let rows: Vec<usize> = (0..labels.len()).filter(|&v| mask[v]).collect();
-    let mut sub = Matrix::zeros(rows.len(), logits.cols());
-    let mut sub_labels = Vec::with_capacity(rows.len());
-    for (i, &v) in rows.iter().enumerate() {
-        sub.row_mut(i).copy_from_slice(logits.row(v));
-        sub_labels.push(labels[v]);
-    }
-    let (loss, grad) = gopim_linalg::loss::softmax_cross_entropy(&sub, &sub_labels);
-    let mut delta = Matrix::zeros(logits.rows(), logits.cols());
-    for (i, &v) in rows.iter().enumerate() {
-        delta.row_mut(v).copy_from_slice(grad.row(i));
-    }
-    (loss, delta)
-}
 
 /// Options for one training run.
 #[derive(Debug, Clone)]
@@ -218,8 +200,8 @@ pub fn train_gcn(graph: &CsrGraph, labels: &[u32], options: &TrainOptions) -> Tr
                 // lint:allow(no-panic-in-lib): guarded by the len() > weight_staleness check above
                 let stale = snapshots.pop_front().expect("non-empty queue");
                 let caches = stale.forward_with_caches(graph, &norm, &x, cache.as_mut(), epoch);
-                let (loss, delta) = masked_ce(caches.output(), labels, &train_mask);
-                final_loss = loss;
+                let mut delta = stale.output_grad(&caches);
+                final_loss = masked_cross_entropy(caches.output(), labels, &train_mask, &mut delta);
                 let grads = stale.gradients(graph, &norm, &caches, delta);
                 model.apply_gradients(&grads);
             }

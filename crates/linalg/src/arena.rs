@@ -9,7 +9,10 @@
 //! capacity exists, and [`BufferArena::recycle`] returns a matrix's
 //! storage to the free list. After the first epoch warms the arena,
 //! the steady-state propagation path performs no heap allocation for
-//! its temporaries.
+//! its temporaries — provided it recycles only matrices the arena
+//! handed out. Recycling a foreign matrix (a clone, a `Matrix::zeros`)
+//! adds a buffer the next epoch does not ask back, so a loop that does
+//! it every epoch grows the free list without bound.
 //!
 //! Determinism: an arena-backed matrix is zero-filled on allocation,
 //! exactly like `Matrix::zeros`, so recycling can never leak one
@@ -52,8 +55,10 @@ impl BufferArena {
     /// one with sufficient capacity is available.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> Matrix {
         let need = rows * cols;
-        // Smallest sufficient buffer (the free list stays tiny — one
-        // entry per live temporary of the propagation path).
+        // Smallest sufficient buffer. The free list stays tiny as long
+        // as callers recycle only buffers this arena handed out: then
+        // it holds at most one entry per live temporary, and a linear
+        // scan is cheapest.
         let pick = self
             .free
             .iter()

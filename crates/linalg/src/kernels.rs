@@ -1,127 +1,122 @@
-//! Inner matmul kernels shared by [`crate::Matrix::matmul`] and
+//! The matmul kernel behind [`crate::Matrix::matmul`] and
 //! [`crate::Matrix::matmul_into`].
 //!
-//! Both kernels accumulate every output element over `k` in ascending
-//! order, so the bits they produce depend only on the operands — not
-//! on how the caller blocks rows or how many pool threads execute the
-//! blocks. That invariant is what the workspace-wide determinism
-//! tests (`tests/determinism.rs`) pin.
+//! [`matmul_block`] computes a block of output rows as a grid of
+//! register tiles. A tile of `R × C` outputs keeps one accumulator per
+//! output element in registers for the whole `k` reduction and stores
+//! the tile once at the end. Every accumulator starts at `0.0` and adds
+//! `a[i][k]·b[k][j]` for ascending `k` with `mac`'s rounding, so the
+//! bits depend only on the operands — not on the tile shape, on how the
+//! caller blocks rows, or on how many pool threads run the blocks
+//! (`tests/determinism.rs` pins that).
 //!
-//! Kernel choice:
+//! The speed comes from the tile's `R·C` independent accumulators:
+//! a single running sum waits on the latency of every add, while a
+//! 4 × 8 tile keeps eight AVX2 vectors of independent sums in flight.
+//! Vectorizing across outputs never splits or reorders any one output's
+//! reduction, which is why the narrow products (the MLP's 256→1 head,
+//! the GCN's logit layers) get the same kernel as the wide ones.
 //!
-//! - [`axpy_block`] — the wide-output kernel. Streams each RHS row
-//!   across four output rows at once (register blocking), so the RHS
-//!   is read once per four rows instead of once per row, and the
-//!   four independent accumulator streams vectorize on plain SSE2.
-//! - [`dot_block`] — the narrow-output kernel (`n ≤` [`NARROW_COLS`]).
-//!   A row-streaming kernel degenerates to one multiply per RHS pass
-//!   when `n` is tiny (the MLP's 256→1 output head), so this one
-//!   iterates a transposed RHS contiguously with a hoisted LHS row
-//!   and a single running accumulation per element.
-//!
-//! On targets with FMA codegen the accumulation uses `f64::mul_add`
-//! (one rounding, one instruction). On targets without it, `mul_add`
-//! lowers to a libm call that measures ~5× slower than `mul + add`,
-//! so the plain form is used instead — which also keeps this kernel
-//! bit-identical to the pre-parallel serial implementation there.
-//!
-//! The wide kernel's row updates go through [`crate::simd`], which
-//! dispatches to AVX2/NEON when available and falls back to the same
-//! scalar loop otherwise; every path produces identical bits (lane
-//! `j` is exactly scalar element `j`, and the per-element reduction
-//! order over `k` never changes). The narrow dot kernel stays scalar:
-//! its single running accumulator would have to be split across lanes
-//! to vectorize, which reorders the reduction and changes the bits.
+//! Tiles are `MR` rows × `NR` columns, with column tails of 4, 2
+//! and 1 and a one-row tail, so one kernel serves every shape. The
+//! kernel is plain Rust, compiled once with AVX2 enabled and once for
+//! the baseline ISA (see [`crate::simd`]); Rust never contracts
+//! `acc + a * b` into an FMA by itself, so both builds give the same
+//! bits.
 
-/// Column threshold at or below which the transposed-RHS dot kernel
-/// is used.
-pub(crate) const NARROW_COLS: usize = 8;
+use crate::simd::mac;
 
-/// Multiply-accumulate: fused on FMA targets, `acc + a * b` elsewhere.
+/// Output rows per register tile.
+pub(crate) const MR: usize = 4;
+
+/// Output columns per register tile (two AVX2 vectors per row).
+const NR: usize = 8;
+
+crate::simd::isa_dispatch! {
+    /// `out = a × b` for a block of rows: `a` is `rows × kd` row-major,
+    /// `b` is `kd × n` row-major, `out` is `rows × n` (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match those shapes.
+    pub(crate) fn matmul_block(a: &[f64], b: &[f64], out: &mut [f64], kd: usize, n: usize)
+        => matmul_tiles
+}
+
 #[inline(always)]
-fn mac(acc: f64, a: f64, b: f64) -> f64 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, acc)
+fn matmul_tiles(a: &[f64], b: &[f64], out: &mut [f64], kd: usize, n: usize) {
+    if n == 0 {
+        assert!(out.is_empty(), "matmul_block: output shape mismatch");
+        return;
     }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        acc + a * b
+    let rows = out.len() / n;
+    assert!(
+        out.len() == rows * n && a.len() == rows * kd && b.len() == kd * n,
+        "matmul_block: operand shapes mismatch"
+    );
+    let mut i = 0;
+    while i + MR <= rows {
+        row_tiles::<MR>(a, b, out, kd, n, i);
+        i += MR;
+    }
+    while i < rows {
+        row_tiles::<1>(a, b, out, kd, n, i);
+        i += 1;
     }
 }
 
-/// How many output rows the wide kernel computes per RHS pass.
-const MR: usize = 4;
-
-/// Column-tile width keeping the active output rows and RHS row
-/// segment inside L1 while a tile's `k` loop runs.
-const JB: usize = 256;
-
-/// `out = a × b` for a block of rows: `a` is `rows × kd` row-major,
-/// `b` is `kd × n` row-major, `out` is `rows × n` (overwritten).
-pub(crate) fn axpy_block(a: &[f64], b: &[f64], out: &mut [f64], kd: usize, n: usize) {
-    out.fill(0.0);
-    if kd == 0 || n == 0 {
-        // Degenerate product: the zero fill is the whole answer, and
-        // the chunked loops below cannot take a zero chunk size.
-        return;
+/// All tiles of output rows `i..i + R`, left to right.
+#[inline(always)]
+fn row_tiles<const R: usize>(a: &[f64], b: &[f64], out: &mut [f64], kd: usize, n: usize, i: usize) {
+    let mut j = 0;
+    while j + NR <= n {
+        tile::<R, NR>(a, b, out, kd, n, i, j);
+        j += NR;
     }
-    for (a_chunk, out_chunk) in a.chunks(MR * kd).zip(out.chunks_mut(MR * n)) {
-        if out_chunk.len() == MR * n {
-            let (a0, rest) = a_chunk.split_at(kd);
-            let (a1, rest) = rest.split_at(kd);
-            let (a2, a3) = rest.split_at(kd);
-            let (o0, rest) = out_chunk.split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3) = rest.split_at_mut(n);
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + JB).min(n);
-                for k in 0..kd {
-                    let b_row = &b[k * n + j0..k * n + j1];
-                    crate::simd::axpy4(
-                        [
-                            &mut o0[j0..j1],
-                            &mut o1[j0..j1],
-                            &mut o2[j0..j1],
-                            &mut o3[j0..j1],
-                        ],
-                        b_row,
-                        [a0[k], a1[k], a2[k], a3[k]],
-                    );
-                }
-                j0 = j1;
-            }
-        } else {
-            // Ragged tail: fewer than MR rows left.
-            for (a_row, out_row) in a_chunk.chunks(kd).zip(out_chunk.chunks_mut(n)) {
-                for k in 0..kd {
-                    let b_row = &b[k * n..(k + 1) * n];
-                    crate::simd::axpy(out_row, b_row, a_row[k]);
-                }
-            }
-        }
+    if j + 4 <= n {
+        tile::<R, 4>(a, b, out, kd, n, i, j);
+        j += 4;
+    }
+    if j + 2 <= n {
+        tile::<R, 2>(a, b, out, kd, n, i, j);
+        j += 2;
+    }
+    if j < n {
+        tile::<R, 1>(a, b, out, kd, n, i, j);
     }
 }
 
-/// `out = a × bᵀᵀ` for a block of rows via dot products against the
-/// pre-transposed RHS: `a` is `rows × kd`, `b_t` is `n × kd` (the
-/// transpose of the `kd × n` RHS), `out` is `rows × n` (overwritten).
-pub(crate) fn dot_block(a: &[f64], b_t: &[f64], out: &mut [f64], kd: usize, n: usize) {
-    if kd == 0 || n == 0 {
-        // Degenerate product: every dot is an empty sum, and the
-        // chunked loops below cannot take a zero chunk size.
-        out.fill(0.0);
-        return;
-    }
-    for (a_row, out_row) in a.chunks_exact(kd).zip(out.chunks_exact_mut(n)) {
-        for (o, bt_row) in out_row.iter_mut().zip(b_t.chunks_exact(kd)) {
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(bt_row) {
-                acc = mac(acc, x, y);
+/// Output rows `i..i + R`, columns `j..j + C`, accumulated in registers.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kd: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * kd..(i + r + 1) * kd]);
+    // One range check for the whole k loop: with `j + C <= n` and
+    // `b.len() == kd * n` (asserted by `matmul_tiles`), every load
+    // below stays inside `b`.
+    assert!(j + C <= n && b.len() == kd * n);
+    let mut acc = [[0.0f64; C]; R];
+    for k in 0..kd {
+        // SAFETY: k < kd and j + C <= n, so k·n + j + C <= kd·n = b.len()
+        // (the assert above); `[f64; C]` has `f64`'s alignment.
+        let bk = unsafe { &*b.as_ptr().add(k * n + j).cast::<[f64; C]>() };
+        for r in 0..R {
+            // SAFETY: each `a_rows[r]` was sliced to length kd above.
+            let ark = unsafe { *a_rows[r].get_unchecked(k) };
+            for c in 0..C {
+                acc[r][c] = mac(acc[r][c], ark, bk[c]);
             }
-            *o = acc;
         }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_row);
     }
 }
 
@@ -143,19 +138,9 @@ mod tests {
         out
     }
 
-    fn transpose(b: &[f64], kd: usize, n: usize) -> Vec<f64> {
-        let mut t = vec![0.0; n * kd];
-        for k in 0..kd {
-            for j in 0..n {
-                t[j * kd + k] = b[k * n + j];
-            }
-        }
-        t
-    }
-
     #[test]
     fn kernels_agree_with_the_reference_bitwise() {
-        // Odd sizes exercise the ragged MR tail and partial J tiles.
+        // Odd sizes exercise the ragged MR tail and partial column tiles.
         for &(m, kd, n) in &[
             (1usize, 1usize, 1usize),
             (5, 3, 7),
@@ -192,8 +177,23 @@ mod tests {
     }
 
     #[test]
+    fn every_tile_edge_agrees_with_the_reference_bitwise() {
+        // Row counts on every residue of MR, widths on both sides of
+        // every column tile (8, 4, 2, 1 and their sums), and reductions
+        // that are empty, single-term and as long as a GCN layer's
+        // `Xᵀ·δ` (1200 vertices).
+        for m in 4..8usize {
+            for n in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 48] {
+                for kd in [0usize, 1, 1200] {
+                    check_against_reference(m, kd, n);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn simd_and_scalar_paths_are_bit_identical() {
-        // Toggle the runtime dispatch and pin the two paths against
+        // Toggle the runtime dispatch and pin the two builds against
         // each other on shapes with ragged rows and lane tails.
         let was = crate::simd::simd_enabled();
         for &(m, kd, n) in &[(7usize, 13usize, 11usize), (4, 31, 258), (2, 5, 9)] {
@@ -201,10 +201,10 @@ mod tests {
             let b: Vec<f64> = (0..kd * n).map(|i| ((i as f64) * 0.23).cos()).collect();
             let mut with_simd = vec![f64::NAN; m * n];
             crate::simd::set_simd_enabled(true);
-            axpy_block(&a, &b, &mut with_simd, kd, n);
+            matmul_block(&a, &b, &mut with_simd, kd, n);
             let mut without = vec![f64::NAN; m * n];
             crate::simd::set_simd_enabled(false);
-            axpy_block(&a, &b, &mut without, kd, n);
+            matmul_block(&a, &b, &mut without, kd, n);
             assert!(
                 with_simd
                     .iter()
@@ -221,21 +221,12 @@ mod tests {
         let b: Vec<f64> = (0..kd * n).map(|i| ((i as f64) * 0.3).cos()).collect();
         let expect = reference(&a, &b, m, kd, n);
         let mut out = vec![f64::NAN; m * n];
-        axpy_block(&a, &b, &mut out, kd, n);
+        matmul_block(&a, &b, &mut out, kd, n);
         assert!(
             out.iter()
                 .zip(&expect)
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "axpy_block diverged at {m}x{kd}x{n}"
-        );
-        let bt = transpose(&b, kd, n);
-        let mut out2 = vec![f64::NAN; m * n];
-        dot_block(&a, &bt, &mut out2, kd, n);
-        assert!(
-            out2.iter()
-                .zip(&expect)
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "dot_block diverged at {m}x{kd}x{n}"
+            "matmul_block diverged at {m}x{kd}x{n}"
         );
     }
 }

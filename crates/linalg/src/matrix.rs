@@ -9,6 +9,12 @@ static MATMUL_CALLS: LazyCounter = LazyCounter::new("linalg.matmul.calls");
 static MATMUL_FLOPS: LazyCounter = LazyCounter::new("linalg.matmul.flops");
 static MATMUL_NS: LazyHistogram = LazyHistogram::new("linalg.matmul.ns");
 
+/// Products below this many multiply-adds (`m·k·n`) run as a single
+/// task. The predictor's MLP runs tens of thousands of tiny products
+/// (its 32×256×1 head is 8 K multiply-adds), and a pool hand-off costs
+/// more than such a product; every GCN product is well above it.
+const PAR_MIN_WORK: usize = 1 << 16;
+
 /// A dense `rows × cols` matrix of `f64`, stored row-major.
 ///
 /// # Example
@@ -172,51 +178,36 @@ impl Matrix {
         MATMUL_CALLS.add(1);
         MATMUL_FLOPS.add(2 * (m as u64) * (k as u64) * (n as u64));
         let _timer = MATMUL_NS.timer();
-        let (kd, n) = (self.cols, rhs.cols);
         if out.data.is_empty() {
             return;
         }
-        if self.data.is_empty() {
-            out.data.fill(0.0);
-            return;
-        }
         // Partition the output into contiguous row blocks; each block
-        // is one task. Per-element accumulation order is fixed by the
-        // kernels, so the block size (which scales with the pool) has
-        // no effect on the bits produced.
-        let block_rows = self
-            .rows
-            .div_ceil(gopim_par::num_threads() * 4)
-            .clamp(1, self.rows);
-        if n <= kernels::NARROW_COLS {
-            // Narrow outputs (e.g. the MLP's 256→1 head): the
-            // row-streaming kernel degenerates to one multiply per
-            // pass, so switch to transposed-RHS dot products.
-            let rhs_t = rhs.transpose();
-            gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
-                let row0 = block * block_rows;
-                let rows = chunk.len() / n;
-                kernels::dot_block(
-                    &self.data[row0 * kd..(row0 + rows) * kd],
-                    &rhs_t.data,
-                    chunk,
-                    kd,
-                    n,
-                );
-            });
+        // is one task. Every output element keeps one accumulator in
+        // `k` order whatever block it lands in, so the block size
+        // (which scales with the pool) has no effect on the bits. A
+        // product below `PAR_MIN_WORK` multiply-adds runs as one task:
+        // splitting it costs more in pool hand-offs than it saves.
+        // Blocks are whole register tiles of `MR` rows: split 8 ways,
+        // a 48-row `Xᵀ·δ` would leave two slow one-row tails in every
+        // 6-row block (48×1200×48 measured 1.5× slower that way).
+        let block_rows = if m * k * n < PAR_MIN_WORK {
+            m
         } else {
-            gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
-                let row0 = block * block_rows;
-                let rows = chunk.len() / n;
-                kernels::axpy_block(
-                    &self.data[row0 * kd..(row0 + rows) * kd],
-                    &rhs.data,
-                    chunk,
-                    kd,
-                    n,
-                );
-            });
-        }
+            m.div_ceil(gopim_par::num_threads() * 4)
+                .next_multiple_of(kernels::MR)
+                .min(m)
+        };
+        gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
+            let row0 = block * block_rows;
+            let rows = chunk.len() / n;
+            kernels::matmul_block(
+                &self.data[row0 * k..(row0 + rows) * k],
+                &rhs.data,
+                chunk,
+                k,
+                n,
+            );
+        });
     }
 
     /// Transpose.
@@ -357,9 +348,9 @@ mod tests {
 
     #[test]
     fn matmul_bits_do_not_depend_on_thread_count() {
-        // Wide output (axpy kernel) and narrow output (dot kernel),
-        // with sizes that force multiple row blocks.
-        for &(m, kd, n) in &[(70usize, 33usize, 40usize), (70, 33, 3)] {
+        // Wide and narrow outputs, with sizes that force multiple row
+        // blocks once above `PAR_MIN_WORK`.
+        for &(m, kd, n) in &[(70usize, 33usize, 40usize), (70, 33, 3), (70, 330, 3)] {
             let a = Matrix::from_vec(
                 m,
                 kd,

@@ -1,58 +1,51 @@
-//! Runtime-dispatched SIMD micro-kernels for the dense hot loops.
+//! Runtime ISA dispatch and the register-tile CSR gather.
 //!
 //! The workspace determinism contract requires every kernel to produce
-//! the *same bits* at any thread count, queue implementation, or SIMD
-//! width, so only element-wise-independent loops are vectorized here:
-//! each output element still accumulates its own terms in the same
-//! order with the same rounding as the scalar code. Concretely, the
-//! one primitive is the AXPY row update `dst[j] ← dst[j] + c·src[j]`
-//! (and its four-row register-blocked variant), where lane `j` of a
-//! vector is exactly scalar element `j` — reordering never happens
-//! across the reduction dimension.
+//! the *same bits* at any thread count, tile shape or vector width.
+//! Each kernel here therefore keeps one accumulator per output element,
+//! with the same start value, the same term order and the same `mac`
+//! rounding as its scalar reference; vector lanes only ever run
+//! *different* outputs side by side. That makes vectorizing exact, so
+//! the kernels are written in plain Rust and the compiler does it.
 //!
-//! Rounding parity with the scalar [`mac`](crate::kernels) helper is
-//! kept by mirroring its compile-time FMA policy: on
-//! `target_feature = "fma"` builds both sides fuse (one rounding), on
-//! every other build both sides do a separate multiply and add. The
-//! dot-product kernel (`dot_block`) is deliberately *not* vectorized:
-//! its single running accumulator per output would need the reduction
-//! order changed, which changes the bits.
+//! Dispatch policy (see DESIGN.md §11): every kernel is compiled twice,
+//! once inside a `#[target_feature(enable = "avx2")]` wrapper and once
+//! for the baseline ISA. The AVX2 build runs on `x86_64` CPUs that
+//! report AVX2 (checked once and cached) unless `GOPIM_NO_SIMD=1` is
+//! set; everywhere else the baseline build runs (on `aarch64` that
+//! build already uses NEON). Rust never contracts `acc + a * b` into an
+//! FMA on its own, so both builds give the same bits, and
+//! [`set_simd_enabled`] lets the differential tests
+//! (`tests/kernel_equivalence.rs`) run both in one process.
 //!
-//! Dispatch policy (see DESIGN.md §11):
-//!
-//! - `x86_64`: AVX2 when the CPU reports it (`is_x86_feature_detected!`),
-//!   checked once and cached.
-//! - `aarch64`: NEON (always present on AArch64).
-//! - anywhere else, or when the `GOPIM_NO_SIMD=1` kill-switch is set:
-//!   the scalar fallback, which is the reference implementation the
-//!   differential tests (`tests/kernel_equivalence.rs`) compare
-//!   against.
+//! [`gather_row`] is the CSR aggregation kernel: for one output row it
+//! holds a tile of up to `GATHER_TILE` (16) columns in registers across
+//! the vertex's neighbor list (the self-loop first), then stores the
+//! tile once. The 1–15-column remainder is one more tile of exactly
+//! that width, so narrow rows such as the link datasets' `d = 2` logits
+//! also run on register accumulators. [`gather_row_scalar`] is the
+//! reference it is pinned against.
 
 use gopim_obs::EnvFlag;
 
 static SIMD: EnvFlag = EnvFlag::new(|| !gopim_obs::env::get().no_simd && cpu_supported());
 
-/// Whether this CPU has the vector unit the kernels need (checked
-/// once, when the gate seeds).
+/// Whether this CPU runs the AVX2 build of the kernels (checked once,
+/// when the gate seeds).
 fn cpu_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is a baseline AArch64 feature.
-        true
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-/// Whether the SIMD paths are active (CPU support present and
-/// `GOPIM_NO_SIMD` not set). The decision is made once and cached;
-/// [`set_simd_enabled`] overrides it.
+/// Whether the AVX2 build of the kernels is active (CPU support
+/// present and `GOPIM_NO_SIMD` not set). The decision is made once and
+/// cached; [`set_simd_enabled`] overrides it.
 #[inline]
 pub fn simd_enabled() -> bool {
     SIMD.get()
@@ -60,15 +53,42 @@ pub fn simd_enabled() -> bool {
 
 /// Forces the dispatch decision — the hook the differential tests use
 /// to run the same process with and without SIMD. Enabling on a CPU
-/// without the required features silently stays scalar.
+/// without AVX2 silently stays on the baseline build.
 pub fn set_simd_enabled(enabled: bool) {
     SIMD.set(enabled && cpu_supported());
 }
 
-/// Scalar multiply-accumulate matching `kernels::mac`: fused on FMA
-/// builds, separate multiply + add elsewhere.
+/// Defines `fn $name` to run the `#[inline(always)]` kernel `$kernel`
+/// from its AVX2 build when [`simd_enabled`], else from its
+/// baseline-ISA build.
+macro_rules! isa_dispatch {
+    ($(#[$meta:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) => $kernel:ident) => {
+        $(#[$meta])*
+        $vis fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) {
+                    $kernel($($arg),*)
+                }
+                if $crate::simd::simd_enabled() {
+                    // SAFETY: `simd_enabled()` holds only on CPUs that
+                    // report AVX2 (`cpu_supported`).
+                    return unsafe { avx2($($arg),*) };
+                }
+            }
+            $kernel($($arg),*)
+        }
+    };
+}
+pub(crate) use isa_dispatch;
+
+/// Multiply-accumulate `acc + a·b`: fused on builds with the `fma`
+/// target feature (one rounding), a separate multiply and add
+/// elsewhere. Every kernel and every reference uses this one helper,
+/// so all of them round alike on any build.
 #[inline(always)]
-fn mac(acc: f64, a: f64, b: f64) -> f64 {
+pub(crate) fn mac(acc: f64, a: f64, b: f64) -> f64 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, acc)
@@ -80,76 +100,21 @@ fn mac(acc: f64, a: f64, b: f64) -> f64 {
 }
 
 /// Reference AXPY: `dst[j] ← dst[j] + c·src[j]` element-wise.
-#[inline]
+#[inline(always)]
 pub fn axpy_scalar(dst: &mut [f64], src: &[f64], c: f64) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = mac(*d, c, s);
     }
 }
 
-/// AXPY over one row: `dst[j] ← dst[j] + c·src[j]`, SIMD when active.
-///
-/// Bit-identical to [`axpy_scalar`] on every dispatch path. Operates
-/// on the overlapping prefix if the slices have different lengths
-/// (like the scalar `zip`).
-#[inline]
-pub fn axpy(dst: &mut [f64], src: &[f64], c: f64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_enabled() {
-            // SAFETY: simd_enabled() verified AVX2 support at runtime.
-            unsafe { axpy_avx2(dst, src, c) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if simd_enabled() {
-            // SAFETY: NEON is a baseline AArch64 feature.
-            unsafe { axpy_neon(dst, src, c) };
-            return;
-        }
-    }
-    axpy_scalar(dst, src, c);
-}
-
-/// Four-row AXPY against one shared `src` row — the inner update of
-/// the register-blocked wide matmul kernel. Each output row gets its
-/// own coefficient; all four stream the same `src`, so the RHS is
-/// read once per four rows.
-///
-/// Bit-identical to four [`axpy_scalar`] calls on every dispatch path.
-///
-/// # Panics
-///
-/// Panics if the four destination rows have different lengths.
-#[inline]
-pub fn axpy4(dst: [&mut [f64]; 4], src: &[f64], coeffs: [f64; 4]) {
-    let [d0, d1, d2, d3] = dst;
-    assert!(
-        d0.len() == d1.len() && d1.len() == d2.len() && d2.len() == d3.len(),
-        "axpy4: destination rows must have equal lengths"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_enabled() {
-            // SAFETY: simd_enabled() verified AVX2 support at runtime.
-            unsafe { axpy4_avx2(d0, d1, d2, d3, src, coeffs) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if simd_enabled() {
-            // SAFETY: NEON is a baseline AArch64 feature.
-            unsafe { axpy4_neon(d0, d1, d2, d3, src, coeffs) };
-            return;
-        }
-    }
-    axpy_scalar(d0, src, coeffs[0]);
-    axpy_scalar(d1, src, coeffs[1]);
-    axpy_scalar(d2, src, coeffs[2]);
-    axpy_scalar(d3, src, coeffs[3]);
+isa_dispatch! {
+    /// AXPY over one row: `dst[j] ← dst[j] + c·src[j]`, from the AVX2
+    /// build when active.
+    ///
+    /// Bit-identical to [`axpy_scalar`] on every dispatch path. Operates
+    /// on the overlapping prefix if the slices have different lengths
+    /// (like the scalar `zip`).
+    pub fn axpy(dst: &mut [f64], src: &[f64], c: f64) => axpy_scalar
 }
 
 /// Per-neighbor coefficient rule for [`gather_row`].
@@ -167,8 +132,8 @@ pub enum NeighborCoeffs<'a> {
 }
 
 impl NeighborCoeffs<'_> {
-    /// The coefficient for neighbor `u`. One `f64` multiply in the
-    /// scaled case, so SIMD and scalar paths round identically.
+    /// The coefficient for neighbor `u`: one `f64` multiply in the
+    /// scaled case, the same in the kernel and the reference.
     #[inline(always)]
     fn coeff(&self, u: u32) -> f64 {
         match *self {
@@ -178,26 +143,14 @@ impl NeighborCoeffs<'_> {
     }
 }
 
-/// Neighbors per inner chunk of the SIMD gather: bounds the source
-/// working set re-walked per lane block to chunk·d doubles so it stays
-/// cache-resident even for hub vertices with huge degrees.
+/// Output columns per gather tile (four AVX2 vectors).
+const GATHER_TILE: usize = 16;
+
+/// Source rows (the self-loop plus neighbors) per pass of the gather's
+/// column tiles: bounds the rows re-read by a row's later tiles to
+/// `GATHER_CHUNK·d` doubles, so they stay in L1 even for hub vertices
+/// with huge degrees.
 const GATHER_CHUNK: usize = 32;
-
-/// Minimum degree for the SIMD gather path. The lane-blocked kernel
-/// pays per-row call and setup costs that only amortize once the
-/// register-resident accumulator is reused across several neighbors;
-/// below this, the scalar row updates are as fast or faster. The
-/// threshold never affects output bits — both paths are bit-identical.
-const GATHER_SIMD_MIN_DEG: usize = 8;
-
-/// Largest source matrix (bytes) the SIMD gather path accepts. The
-/// lane-blocked sweep reads neighbor rows in a strided order the
-/// hardware prefetcher cannot follow, so once `x` falls out of L2 every
-/// line becomes a demand miss and the scalar row-streaming order (which
-/// the prefetcher tracks) wins. Half a typical 2 MB L2 leaves room for
-/// the output rows. Like the degree floor, this is a pure perf knob —
-/// output bits are identical on both sides of it.
-const GATHER_SIMD_MAX_BYTES: usize = 1 << 20;
 
 /// Reference row gather: into `dst` (row `v`'s output, length `d`),
 /// accumulate `self_coeff · x[v]` then `coeff(u) · x[u]` for each
@@ -217,21 +170,33 @@ pub fn gather_row_scalar(
     }
 }
 
-/// [`gather_row_scalar`] with the whole neighbor loop inside one SIMD
-/// kernel: each lane block keeps its accumulator in a register across
-/// a chunk of neighbors, so the output row is loaded and stored once
-/// per chunk instead of once per edge, and the per-edge dispatch
-/// branch disappears.
-///
-/// Bit-identical to [`gather_row_scalar`] on every dispatch path: for
-/// each output element the accumulation order is still self-loop
-/// first, then neighbors in CSR order, with [`mac`]'s rounding.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `dst.len() != d` or an index is out of
-/// bounds of `x`.
-pub fn gather_row(
+isa_dispatch! {
+    /// [`gather_row_scalar`] as a register-tile kernel: each tile of up
+    /// to 16 output columns is loaded once, accumulates the self-loop
+    /// and then every neighbor in registers, and is stored once per 32
+    /// source rows.
+    ///
+    /// Bit-identical to [`gather_row_scalar`] on every dispatch path:
+    /// each output element keeps one accumulator, which starts at
+    /// `dst[j]` and adds the self-loop, then the neighbors in CSR order,
+    /// with the same rounding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() != d` or a source row is out of bounds of `x`.
+    pub fn gather_row(
+        dst: &mut [f64],
+        x: &[f64],
+        d: usize,
+        v: usize,
+        self_coeff: f64,
+        neighbors: &[u32],
+        coeffs: NeighborCoeffs,
+    ) => gather_tiles
+}
+
+#[inline(always)]
+fn gather_tiles(
     dst: &mut [f64],
     x: &[f64],
     d: usize,
@@ -240,287 +205,104 @@ pub fn gather_row(
     neighbors: &[u32],
     coeffs: NeighborCoeffs,
 ) {
-    debug_assert_eq!(dst.len(), d, "one output row of width d");
-    if neighbors.len() < GATHER_SIMD_MIN_DEG || x.len() * 8 > GATHER_SIMD_MAX_BYTES {
-        gather_row_scalar(dst, x, d, v, self_coeff, neighbors, coeffs);
+    assert_eq!(dst.len(), d, "one output row of width d");
+    if d == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_enabled() {
-            // SAFETY: simd_enabled() verified AVX2 support at runtime,
-            // and every row index stays in bounds of `x` (checked
-            // slices in the scalar tail, debug asserts in the body).
-            unsafe { gather_row_avx2(dst, x, d, v, self_coeff, neighbors, coeffs) };
+    let rows = x.len() / d;
+    // (row offset into `x`, coefficient) per source row. Every offset
+    // is range-checked here, once, so the tiles can load unchecked.
+    let mut terms = [(0usize, 0.0f64); GATHER_CHUNK];
+    assert!(v < rows, "gather_row: row {v} out of bounds");
+    terms[0] = (v * d, self_coeff);
+    let mut len = 1;
+    let mut rest = neighbors;
+    loop {
+        let take = (GATHER_CHUNK - len).min(rest.len());
+        for (term, &u) in terms[len..len + take].iter_mut().zip(rest) {
+            assert!(
+                (u as usize) < rows,
+                "gather_row: neighbor {u} out of bounds"
+            );
+            *term = (u as usize * d, coeffs.coeff(u));
+        }
+        rest = &rest[take..];
+        // SAFETY: every offset in `terms` is `u·d` for a row `u < rows`
+        // (asserted as it was stored), so `off + d <= x.len()`.
+        unsafe { gather_chunk(dst, x, d, &terms[..len + take]) };
+        if rest.is_empty() {
             return;
         }
+        len = 0;
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if simd_enabled() {
-            // SAFETY: NEON is a baseline AArch64 feature.
-            unsafe { gather_row_neon(dst, x, d, v, self_coeff, neighbors, coeffs) };
-            return;
-        }
-    }
-    gather_row_scalar(dst, x, d, v, self_coeff, neighbors, coeffs);
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// Vector multiply-accumulate with the same rounding policy as the
-    /// scalar `mac`: `vfmadd` on FMA builds, `mul` + `add` elsewhere.
-    #[inline(always)]
-    unsafe fn vmac(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
-        #[cfg(target_feature = "fma")]
-        {
-            _mm256_fmadd_pd(a, b, acc)
+/// Accumulates one chunk of `terms` into every column tile of `dst`.
+///
+/// # Safety
+///
+/// Every `(off, _)` in `terms` must satisfy `off + d <= x.len()`.
+#[inline(always)]
+unsafe fn gather_chunk(dst: &mut [f64], x: &[f64], d: usize, terms: &[(usize, f64)]) {
+    let mut j = 0;
+    // SAFETY (every tile below): this function's contract.
+    unsafe {
+        while j + GATHER_TILE <= d {
+            gather_tile::<GATHER_TILE>(dst, x, d, terms, j);
+            j += GATHER_TILE;
         }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            _mm256_add_pd(acc, _mm256_mul_pd(a, b))
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(dst: &mut [f64], src: &[f64], c: f64) {
-        let n = dst.len().min(src.len());
-        let lanes = n - n % 4;
-        let cv = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j < lanes {
-            let d = _mm256_loadu_pd(dst.as_ptr().add(j));
-            let s = _mm256_loadu_pd(src.as_ptr().add(j));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j), vmac(d, cv, s));
-            j += 4;
-        }
-        // Non-multiple-of-lane-width tail: scalar, same rounding.
-        super::axpy_scalar(&mut dst[lanes..n], &src[lanes..n], c);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)] // four row streams + shared RHS
-    pub(super) unsafe fn axpy4_avx2(
-        d0: &mut [f64],
-        d1: &mut [f64],
-        d2: &mut [f64],
-        d3: &mut [f64],
-        src: &[f64],
-        c: [f64; 4],
-    ) {
-        let n = d0.len().min(src.len());
-        let lanes = n - n % 4;
-        let c0 = _mm256_set1_pd(c[0]);
-        let c1 = _mm256_set1_pd(c[1]);
-        let c2 = _mm256_set1_pd(c[2]);
-        let c3 = _mm256_set1_pd(c[3]);
-        let mut j = 0;
-        while j < lanes {
-            let s = _mm256_loadu_pd(src.as_ptr().add(j));
-            let t0 = _mm256_loadu_pd(d0.as_ptr().add(j));
-            _mm256_storeu_pd(d0.as_mut_ptr().add(j), vmac(t0, c0, s));
-            let t1 = _mm256_loadu_pd(d1.as_ptr().add(j));
-            _mm256_storeu_pd(d1.as_mut_ptr().add(j), vmac(t1, c1, s));
-            let t2 = _mm256_loadu_pd(d2.as_ptr().add(j));
-            _mm256_storeu_pd(d2.as_mut_ptr().add(j), vmac(t2, c2, s));
-            let t3 = _mm256_loadu_pd(d3.as_ptr().add(j));
-            _mm256_storeu_pd(d3.as_mut_ptr().add(j), vmac(t3, c3, s));
-            j += 4;
-        }
-        super::axpy_scalar(&mut d0[lanes..n], &src[lanes..n], c[0]);
-        super::axpy_scalar(&mut d1[lanes..n], &src[lanes..n], c[1]);
-        super::axpy_scalar(&mut d2[lanes..n], &src[lanes..n], c[2]);
-        super::axpy_scalar(&mut d3[lanes..n], &src[lanes..n], c[3]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_row_avx2(
-        dst: &mut [f64],
-        x: &[f64],
-        d: usize,
-        v: usize,
-        self_coeff: f64,
-        neighbors: &[u32],
-        coeffs: super::NeighborCoeffs,
-    ) {
-        if neighbors.is_empty() {
-            axpy_avx2(dst, &x[v * d..v * d + d], self_coeff);
-            return;
-        }
-        let lanes = d - d % 4;
-        let xv = x.as_ptr().add(v * d);
-        let sc = _mm256_set1_pd(self_coeff);
-        let mut cbuf = [0.0f64; super::GATHER_CHUNK];
-        // The self-loop is fused into the first chunk's pass so the
-        // output row is loaded and stored once per chunk, never in a
-        // separate self-only sweep. Per element the accumulation order
-        // is still self first, then neighbors in CSR order.
-        let mut first = true;
-        for chunk in neighbors.chunks(super::GATHER_CHUNK) {
-            // Coefficients once per chunk (same single multiply as the
-            // scalar path), not once per lane block.
-            for (k, &u) in chunk.iter().enumerate() {
-                cbuf[k] = coeffs.coeff(u);
-            }
-            let mut j = 0;
-            while j < lanes {
-                let mut acc = _mm256_loadu_pd(dst.as_ptr().add(j));
-                if first {
-                    acc = vmac(acc, sc, _mm256_loadu_pd(xv.add(j)));
-                }
-                for (k, &u) in chunk.iter().enumerate() {
-                    let s = _mm256_loadu_pd(x.as_ptr().add(u as usize * d + j));
-                    acc = vmac(acc, _mm256_set1_pd(cbuf[k]), s);
-                }
-                _mm256_storeu_pd(dst.as_mut_ptr().add(j), acc);
-                j += 4;
-            }
-            for jj in lanes..d {
-                let mut t = dst[jj];
-                if first {
-                    t = super::mac(t, self_coeff, *xv.add(jj));
-                }
-                for (k, &u) in chunk.iter().enumerate() {
-                    t = super::mac(t, cbuf[k], x[u as usize * d + jj]);
-                }
-                dst[jj] = t;
-            }
-            first = false;
+        // The 0–15-column remainder, as one tile of exactly that width.
+        match d - j {
+            0 => {}
+            1 => gather_tile::<1>(dst, x, d, terms, j),
+            2 => gather_tile::<2>(dst, x, d, terms, j),
+            3 => gather_tile::<3>(dst, x, d, terms, j),
+            4 => gather_tile::<4>(dst, x, d, terms, j),
+            5 => gather_tile::<5>(dst, x, d, terms, j),
+            6 => gather_tile::<6>(dst, x, d, terms, j),
+            7 => gather_tile::<7>(dst, x, d, terms, j),
+            8 => gather_tile::<8>(dst, x, d, terms, j),
+            9 => gather_tile::<9>(dst, x, d, terms, j),
+            10 => gather_tile::<10>(dst, x, d, terms, j),
+            11 => gather_tile::<11>(dst, x, d, terms, j),
+            12 => gather_tile::<12>(dst, x, d, terms, j),
+            13 => gather_tile::<13>(dst, x, d, terms, j),
+            14 => gather_tile::<14>(dst, x, d, terms, j),
+            _ => gather_tile::<15>(dst, x, d, terms, j),
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-use x86::{axpy4_avx2, axpy_avx2, gather_row_avx2};
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    use std::arch::aarch64::*;
-
-    /// Vector multiply-accumulate mirroring the scalar `mac` rounding
-    /// policy. `cfg(target_feature = "fma")` is never set on AArch64
-    /// builds today, so this matches the unfused scalar branch there;
-    /// the fused arm exists only to stay in lockstep with `mac` should
-    /// that ever change.
-    #[inline(always)]
-    unsafe fn vmac(acc: float64x2_t, a: float64x2_t, b: float64x2_t) -> float64x2_t {
-        #[cfg(target_feature = "fma")]
-        {
-            vfmaq_f64(acc, a, b)
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            vaddq_f64(acc, vmulq_f64(a, b))
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_neon(dst: &mut [f64], src: &[f64], c: f64) {
-        let n = dst.len().min(src.len());
-        let lanes = n - n % 2;
-        let cv = vdupq_n_f64(c);
-        let mut j = 0;
-        while j < lanes {
-            let d = vld1q_f64(dst.as_ptr().add(j));
-            let s = vld1q_f64(src.as_ptr().add(j));
-            vst1q_f64(dst.as_mut_ptr().add(j), vmac(d, cv, s));
-            j += 2;
-        }
-        super::axpy_scalar(&mut dst[lanes..n], &src[lanes..n], c);
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy4_neon(
-        d0: &mut [f64],
-        d1: &mut [f64],
-        d2: &mut [f64],
-        d3: &mut [f64],
-        src: &[f64],
-        c: [f64; 4],
-    ) {
-        let n = d0.len().min(src.len());
-        let lanes = n - n % 2;
-        let c0 = vdupq_n_f64(c[0]);
-        let c1 = vdupq_n_f64(c[1]);
-        let c2 = vdupq_n_f64(c[2]);
-        let c3 = vdupq_n_f64(c[3]);
-        let mut j = 0;
-        while j < lanes {
-            let s = vld1q_f64(src.as_ptr().add(j));
-            let t0 = vld1q_f64(d0.as_ptr().add(j));
-            vst1q_f64(d0.as_mut_ptr().add(j), vmac(t0, c0, s));
-            let t1 = vld1q_f64(d1.as_ptr().add(j));
-            vst1q_f64(d1.as_mut_ptr().add(j), vmac(t1, c1, s));
-            let t2 = vld1q_f64(d2.as_ptr().add(j));
-            vst1q_f64(d2.as_mut_ptr().add(j), vmac(t2, c2, s));
-            let t3 = vld1q_f64(d3.as_ptr().add(j));
-            vst1q_f64(d3.as_mut_ptr().add(j), vmac(t3, c3, s));
-            j += 2;
-        }
-        super::axpy_scalar(&mut d0[lanes..n], &src[lanes..n], c[0]);
-        super::axpy_scalar(&mut d1[lanes..n], &src[lanes..n], c[1]);
-        super::axpy_scalar(&mut d2[lanes..n], &src[lanes..n], c[2]);
-        super::axpy_scalar(&mut d3[lanes..n], &src[lanes..n], c[3]);
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gather_row_neon(
-        dst: &mut [f64],
-        x: &[f64],
-        d: usize,
-        v: usize,
-        self_coeff: f64,
-        neighbors: &[u32],
-        coeffs: super::NeighborCoeffs,
-    ) {
-        if neighbors.is_empty() {
-            axpy_neon(dst, &x[v * d..v * d + d], self_coeff);
-            return;
-        }
-        let lanes = d - d % 2;
-        let xv = x.as_ptr().add(v * d);
-        let sc = vdupq_n_f64(self_coeff);
-        let mut cbuf = [0.0f64; super::GATHER_CHUNK];
-        // Self-loop fused into the first chunk's pass (see the AVX2
-        // variant): per element the order is still self first, then
-        // neighbors in CSR order.
-        let mut first = true;
-        for chunk in neighbors.chunks(super::GATHER_CHUNK) {
-            for (k, &u) in chunk.iter().enumerate() {
-                cbuf[k] = coeffs.coeff(u);
-            }
-            let mut j = 0;
-            while j < lanes {
-                let mut acc = vld1q_f64(dst.as_ptr().add(j));
-                if first {
-                    acc = vmac(acc, sc, vld1q_f64(xv.add(j)));
-                }
-                for (k, &u) in chunk.iter().enumerate() {
-                    let s = vld1q_f64(x.as_ptr().add(u as usize * d + j));
-                    acc = vmac(acc, vdupq_n_f64(cbuf[k]), s);
-                }
-                vst1q_f64(dst.as_mut_ptr().add(j), acc);
-                j += 2;
-            }
-            for jj in lanes..d {
-                let mut t = dst[jj];
-                if first {
-                    t = super::mac(t, self_coeff, *xv.add(jj));
-                }
-                for (k, &u) in chunk.iter().enumerate() {
-                    t = super::mac(t, cbuf[k], x[u as usize * d + jj]);
-                }
-                dst[jj] = t;
-            }
-            first = false;
+/// Output columns `j..j + W` of one row, accumulated in registers over
+/// `terms`.
+///
+/// # Safety
+///
+/// As for [`gather_chunk`].
+#[inline(always)]
+unsafe fn gather_tile<const W: usize>(
+    dst: &mut [f64],
+    x: &[f64],
+    d: usize,
+    terms: &[(usize, f64)],
+    j: usize,
+) {
+    let out = &mut dst[j..j + W];
+    let mut acc: [f64; W] = std::array::from_fn(|w| out[w]);
+    // One range check for the whole term loop: with `j + W <= d` and
+    // the caller's `off + d <= x.len()`, each row segment
+    // `off + j..off + j + W` lies in `x`.
+    assert!(j + W <= d);
+    for &(off, c) in terms {
+        // SAFETY: `off + j + W <= off + d <= x.len()` (see above);
+        // `[f64; W]` has `f64`'s alignment.
+        let src = unsafe { &*x.as_ptr().add(off + j).cast::<[f64; W]>() };
+        for w in 0..W {
+            acc[w] = mac(acc[w], c, src[w]);
         }
     }
+    out.copy_from_slice(&acc);
 }
-
-#[cfg(target_arch = "aarch64")]
-use arm::{axpy4_neon, axpy_neon, gather_row_neon};
 
 #[cfg(test)]
 mod tests {
@@ -554,46 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn axpy4_matches_four_scalar_rows_bitwise() {
-        for n in [0usize, 1, 3, 4, 6, 8, 13, 64, 101] {
-            let src = filled(n, 0.9);
-            let coeffs = [1.25, -0.5, 3.0, 0.0];
-            let mut rows_simd: Vec<Vec<f64>> = (0..4).map(|r| filled(n, 0.2 + r as f64)).collect();
-            let mut rows_scalar = rows_simd.clone();
-            {
-                let (a, rest) = rows_simd.split_at_mut(1);
-                let (b, rest) = rest.split_at_mut(1);
-                let (c, d) = rest.split_at_mut(1);
-                axpy4(
-                    [&mut a[0][..], &mut b[0][..], &mut c[0][..], &mut d[0][..]],
-                    &src,
-                    coeffs,
-                );
-            }
-            for (row, &c) in rows_scalar.iter_mut().zip(&coeffs) {
-                axpy_scalar(row, &src, c);
-            }
-            for r in 0..4 {
-                assert!(
-                    rows_simd[r]
-                        .iter()
-                        .zip(&rows_scalar[r])
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "axpy4 row {r} diverged at n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gather_row_matches_scalar_bitwise_across_degrees_and_widths() {
-        // Degrees straddling the GATHER_CHUNK boundary and widths
-        // straddling the lane width (including a lane-free d=1).
+        // Every remainder width below the 16-column tile, widths on
+        // both sides of one and two whole tiles, and degrees on both
+        // sides of 8 and of the 32-row chunk (the self-loop shares the
+        // first chunk, so 31 neighbors fill it exactly).
         let n = 128usize;
         let table = filled(n, 0.13);
-        for d in [1usize, 2, 3, 4, 5, 7, 8, 32, 33] {
+        let widths = (1usize..=17).chain([31, 32, 33, 48, 64]);
+        for d in widths {
             let x = filled(n * d, 0.7);
-            for deg in [0usize, 1, 2, 31, 32, 33, 64, 100] {
+            for deg in [0usize, 1, 2, 7, 8, 9, 30, 31, 32, 33, 63, 64, 100] {
                 let neighbors: Vec<u32> = (0..deg).map(|i| ((i * 7 + 3) % n) as u32).collect();
                 let v = 5usize;
                 for coeffs in [
@@ -617,6 +370,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_row_rejects_an_out_of_range_neighbor() {
+        let x = filled(4 * 3, 0.5);
+        let mut dst = vec![0.0; 3];
+        gather_row(
+            &mut dst,
+            &x,
+            3,
+            0,
+            1.0,
+            &[1, 4],
+            NeighborCoeffs::Uniform(0.5),
+        );
     }
 
     #[test]

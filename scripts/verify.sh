@@ -30,10 +30,11 @@ GOPIM_THREADS=1 cargo test -q --offline --workspace
 echo "== cargo test --offline, default GOPIM_THREADS (parallel) =="
 cargo test -q --offline --workspace
 
-echo "== cargo test --offline, GOPIM_NO_SIMD=1 (scalar kernels) =="
-# The SIMD kill-switch must be a pure dispatch knob, never a numerics
-# knob: the whole suite — bitwise goldens and the differential
-# equivalence harness included — must pass with vector paths disabled.
+echo "== cargo test --offline, GOPIM_NO_SIMD=1 (baseline-ISA build of the kernels) =="
+# The SIMD switch must be a pure dispatch knob, never a numerics knob:
+# the whole suite — bitwise goldens and the differential equivalence
+# harness included — must pass on the baseline-ISA build of the same
+# kernels as well as on the AVX2 build.
 GOPIM_NO_SIMD=1 cargo test -q --offline --workspace
 
 echo "== bench targets compile =="

@@ -3,9 +3,10 @@
 //! Two families of optimized code ship with this repo, both under the
 //! bit-determinism contract:
 //!
-//! - the SIMD matmul/aggregation kernels (`gopim_linalg::simd`), which
-//!   must produce the same `f64` bits as the scalar fallback for every
-//!   shape, tail width, and thread count;
+//! - the register-tile matmul/aggregation kernels (`gopim_linalg`),
+//!   whose AVX2 and baseline-ISA builds must produce the same `f64`
+//!   bits as each other and as the textbook loop for every shape, tile
+//!   edge, and thread count;
 //! - the DES's round-robin server rings (`gopim_pipeline::des`), which
 //!   must drive the DES to the same makespans, completion tables and
 //!   fault-session statistics as a test-local `BinaryHeap` engine, and
@@ -54,6 +55,27 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The textbook product: one running sum per output, starting at 0.0
+/// and adding `a[i][k]·b[k][j]` for ascending `k`, fused only on builds
+/// with the `fma` target feature (the kernels' rounding policy).
+fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f64;
+            for k in 0..a.cols() {
+                if cfg!(target_feature = "fma") {
+                    acc = a[(i, k)].mul_add(b[(k, j)], acc);
+                } else {
+                    acc += a[(i, k)] * b[(k, j)];
+                }
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
 /// Runs `f` with the SIMD path forced on, then forced off, restoring
 /// the previous dispatch state afterwards.
 fn with_both_paths<R>(mut f: impl FnMut() -> R) -> (R, R) {
@@ -72,11 +94,12 @@ fn matmul_is_bit_identical_across_simd_paths_and_thread_counts() {
         "matmul_is_bit_identical_across_simd_paths_and_thread_counts",
         Config::cases(48),
         |d| {
-            // Shapes hug the SIMD lane width (4) and register block
-            // (4 rows): draws land on exact multiples, 1-off tails,
-            // and degenerate single rows/columns alike.
+            // Shapes hug the register tile (4 rows × 8 columns, column
+            // tails of 4/2/1): draws land on exact multiples, 1-off
+            // tails, and degenerate single rows/columns alike. `k`
+            // reaches past a GCN layer's `Xᵀ·δ` reduction (1200).
             let m = d.draw("m", 1usize..40);
-            let k = d.draw("k", 1usize..40);
+            let k = d.draw("k", 1usize..1300);
             let n = d.draw("n", 1usize..70);
             let seed = d.draw("seed", 1u64..u64::MAX);
             let threads = d.pick("threads", &[1usize, 4]);
@@ -89,6 +112,11 @@ fn matmul_is_bit_identical_across_simd_paths_and_thread_counts() {
                 bits(&on),
                 bits(&off),
                 "matmul bits diverged at {m}x{k}x{n}, {threads} threads"
+            );
+            assert_eq!(
+                bits(&on),
+                bits(&naive_matmul(&a, &b)),
+                "matmul diverged from the naive reference at {m}x{k}x{n}"
             );
             // matmul_into over a dirty (non-zero) output buffer must
             // fully overwrite and agree with the allocating form.
@@ -116,7 +144,7 @@ fn aggregation_is_bit_identical_across_simd_paths_and_thread_counts() {
         Config::cases(32),
         |d| {
             let n = d.draw("n", 2usize..200);
-            let d_feat = d.draw("d", 1usize..20);
+            let d_feat = d.draw("d", 1usize..65);
             let num_edges = d.draw("edges", 0usize..400);
             let seed = d.draw("seed", 1u64..u64::MAX);
             let threads = d.pick("threads", &[1usize, 4]);
