@@ -4,16 +4,23 @@
 //! selective-update mask).
 
 use gopim_graph::datasets::Dataset;
+use gopim_graph::generate::power_law_profile;
 use gopim_testkit::bench::Runner;
 
 fn main() {
     let mut runner = Runner::new("graph");
-    // ddi: short runs (scan path, serve_mix's hot key); collab:
-    // fractional cap (scan path); products: the 2.45 M-vertex run path.
+    // ddi: short runs (scan path, serve_mix's hot key); collab: fractional
+    // cap (run counts settled against the rounding bound); products: the
+    // 2.45 M-vertex integral-cap run path.
     for dataset in [Dataset::Ddi, Dataset::Collab, Dataset::Products] {
         let name = dataset.name();
         runner.bench(&format!("profile/{name}"), || dataset.profile(7));
     }
+    // One of the Time Predictor's random graphs at its typical size: a
+    // fractional cap (60 · 34.86) with long runs.
+    runner.bench("profile/sample_draw_397898", || {
+        power_law_profile(397_898, 34.86, 0.75, 0.9, 7)
+    });
     let products = Dataset::Products.profile(7);
     runner.bench("rank_by_degree/products", || {
         products.vertices_by_degree_desc()

@@ -1,10 +1,11 @@
-//! Microbenchmarks for the Time Predictor: inference latency (the
-//! paper's §VII-G claims milliseconds for a whole workload) and one
-//! training epoch.
+//! Microbenchmarks for the Time Predictor: training-sample generation at
+//! the Table VII protocol's sizes (700 random-workload samples plus the
+//! headline datasets' records), inference latency (the paper's §VII-G
+//! claims milliseconds for a whole workload) and one training epoch.
 
 use gopim_graph::datasets::Dataset;
 use gopim_pipeline::{GcnWorkload, WorkloadOptions};
-use gopim_predictor::dataset_gen::generate_samples;
+use gopim_predictor::dataset_gen::{generate_samples, samples_from_datasets};
 use gopim_predictor::TimePredictor;
 use gopim_testkit::bench::Runner;
 
@@ -15,6 +16,10 @@ fn main() {
     let avg = Dataset::Ddi.stats().avg_degree;
 
     let mut runner = Runner::new("predictor");
+    runner.bench("generate_samples/700", || generate_samples(700, 1));
+    runner.bench("samples_from_datasets/headline", || {
+        samples_from_datasets(&Dataset::HEADLINE, 1)
+    });
     runner.bench("infer_all_stages_ddi", || {
         predictor.predict_stage_times_ns(&wl, avg)
     });

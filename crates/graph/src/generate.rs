@@ -46,6 +46,7 @@ pub fn power_law_profile(
         (0.0..=1.0).contains(&locality),
         "locality must be within [0, 1]"
     );
+    let _span = gopim_obs::span!("graph.power_law_profile", n);
     let mut rng = SmallRng::seed_from_u64(seed);
     // Real OGB graphs cap their hubs at a few tens of times the average
     // degree (e.g. ppa: avg 73.7, max ≈ 3.2k); an uncapped power law
@@ -55,26 +56,30 @@ pub fn power_law_profile(
     // Raw power-law weights w_i = (i + 1)^(-exponent).
     let weights: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-exponent)).collect();
 
-    // Calibrate scale c so that mean(clamp(round(c * w_i), 1, n-1))
+    // Calibrate scale c so that mean(clamp(round(c * w_i), 1, cap))
     // equals avg_degree. The clamp makes this nonlinear; bisection on c
-    // converges quickly because the mean is monotone in c.
+    // converges quickly because the mean is monotone in c. Each step asks
+    // whether the left-to-right f64 sum of the terms, divided by n, is
+    // below avg_degree.
     let term = |c: f64, w: f64| (c * w).round().clamp(1.0, max_degree);
-    // With an integral cap every term is an integer, so while n·cap stays
-    // below 2^53 every partial sum is exact and the summation order
-    // cannot change the result: non-increasing weights give runs of equal
-    // terms that can be summed as `d · len`. Short runs (2·cap > n) gain
-    // nothing from galloping and keep the scan.
-    let by_runs = max_degree.fract() == 0.0
-        && (n as f64) * max_degree < EXACT_F64_INTEGER_LIMIT
+    let scan_below =
+        |c: f64| weights.iter().map(|&w| term(c, w)).sum::<f64>() / (n as f64) < avg_degree;
+    // Non-increasing weights give non-increasing terms, so they form at
+    // most cap + 1 runs of equal values. With long runs (2·cap ≤ n) the
+    // run counts settle almost every step without the scan (see
+    // `settle_below`); with short runs galloping costs more than it saves
+    // and the scan stays.
+    let by_runs = (n as f64) * max_degree < EXACT_F64_INTEGER_LIMIT
         && 2.0 * max_degree <= n as f64
         && weights.windows(2).all(|pair| pair[0] >= pair[1]);
-    let mean_for = |c: f64| -> f64 {
-        let sum = if by_runs {
-            run_length_sum(&weights, |w| term(c, w))
+    let below = |c: f64| {
+        let settled = if by_runs {
+            let (at_cap, integral) = count_runs(&weights, |w| term(c, w));
+            settle_below(at_cap, integral, max_degree, n, avg_degree)
         } else {
-            weights.iter().map(|&w| term(c, w)).sum::<f64>()
+            None
         };
-        sum / n as f64
+        settled.unwrap_or_else(|| scan_below(c))
     };
     let mut lo = 0.0_f64;
     // Upper bound: the scale at which even the lightest-weight vertex
@@ -87,7 +92,7 @@ pub fn power_law_profile(
         if mid == lo || mid == hi {
             break;
         }
-        if mean_for(mid) < avg_degree {
+        if below(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -117,14 +122,16 @@ pub fn power_law_profile(
 /// 2^53: every integer up to here is exactly representable as an `f64`.
 const EXACT_F64_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
 
-/// Sum of `term(w)` over `weights`, where `term` is non-increasing along
-/// `weights`, integer-valued, and the total stays below 2^53 — so the
-/// result equals the sequential sum bit for bit. Each run of equal terms
-/// is found by galloping (probe `i+1, i+2, i+4, …` until a probe leaves
-/// the run, then binary-search the last gap) and added as `d · len`.
-fn run_length_sum(weights: &[f64], term: impl Fn(f64) -> f64) -> f64 {
+/// Counts the calibration terms `term(w)` over `weights` run by run,
+/// where `term` is non-increasing along `weights` and integer-valued
+/// except at a fractional cap. Returns how many terms are not integers
+/// (they all equal the cap) and the sum of the others, exact in `u64`
+/// while `n·cap < 2^53`. Each run of equal terms is found by galloping
+/// (probe `i+1, i+2, i+4, …` until a probe leaves the run, then
+/// binary-search the last gap).
+fn count_runs(weights: &[f64], term: impl Fn(f64) -> f64) -> (u64, u64) {
     let n = weights.len();
-    let mut sum = 0.0;
+    let (mut at_cap, mut integral) = (0, 0);
     let mut start = 0;
     while start < n {
         let d = term(weights[start]);
@@ -144,10 +151,48 @@ fn run_length_sum(weights: &[f64], term: impl Fn(f64) -> f64) -> f64 {
             step *= 2;
         };
         let end = inside + weights[inside..outside].partition_point(|&w| term(w) == d);
-        sum += d * (end - start) as f64;
+        let len = (end - start) as u64;
+        if d.fract() == 0.0 {
+            integral += d as u64 * len;
+        } else {
+            at_cap += len;
+        }
         start = end;
     }
-    sum
+    (at_cap, integral)
+}
+
+/// Decides one bisection step, `scan / n < avg`, from run counts, where
+/// `scan` is the left-to-right `f64` sum of `n` positive terms: `at_cap`
+/// equal to a fractional `cap` and integers summing to `integral`, with
+/// `n·cap < 2^53`. Returns `None` when the counts cannot settle the step
+/// and the scan must run.
+///
+/// With no term at the cap every partial sum of the scan is an integer
+/// below 2^53, so the scan is exact and `scan = integral`. Otherwise the
+/// exact sum is `S = at_cap·cap + integral`, and recursive summation of
+/// positive terms gives `|scan − S| ≤ γ_{n−1}·S` with
+/// `γ_m = m·u / (1 − m·u)`, `u = 2^-53` (Higham, *Accuracy and Stability
+/// of Numerical Algorithms*, ch. 4). A fractional cap is `60·avg ≥ 60`,
+/// so `n < 2^47` and `γ_{n−1} < 1.02·(n−1)·u`. Computing `s` rounds twice
+/// (`|s − S| ≤ 2.01·u·S`), so `|scan − s| < 1.02·(n+1)·u·S`, and
+/// `B = 4u·s·(n+2)` is about four times that, which also covers the
+/// rounding of `s` and `B`. Rounding is monotone, so `scan ≤ s + B` gives
+/// `scan/n ≤ (s + B)/n` after both divisions round, and likewise below.
+fn settle_below(at_cap: u64, integral: u64, cap: f64, n: usize, avg: f64) -> Option<bool> {
+    let n_f = n as f64;
+    if at_cap == 0 {
+        return Some(integral as f64 / n_f < avg);
+    }
+    let s = at_cap as f64 * cap + integral as f64;
+    let bound = s * (n + 2) as f64 * 2.0 * f64::EPSILON;
+    if (s + bound) / n_f < avg {
+        Some(true)
+    } else if (s - bound) / n_f >= avg {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// Chung–Lu random graph: samples `target_edges` endpoint pairs with
@@ -385,6 +430,50 @@ mod tests {
         let a = power_law_profile(500, 10.0, 0.8, 0.5, 42);
         let b = power_law_profile(500, 10.0, 0.8, 0.5, 42);
         assert_eq!(a, b);
+    }
+
+    /// `settle_below` against the scan it stands in for: random
+    /// non-increasing terms (`k` at a fractional cap, then integers), with
+    /// `avg` at the scan's own mean, a few ulps to either side, and
+    /// farther out. Every answer must be the scan's; at the scan's mean a
+    /// fractional term forces the fallback, and far enough out the counts
+    /// always settle.
+    #[test]
+    fn settle_below_agrees_with_the_scan_or_defers() {
+        use gopim_testkit::prop::{check_with, Config};
+        check_with(
+            "settle_below_agrees_with_the_scan_or_defers",
+            Config::cases(256),
+            |d| {
+                let cap = d.draw("cap_int", 60u32..5000) as f64 + d.draw("cap_frac", 0.01f64..0.99);
+                let k = d.draw("k", 0usize..50);
+                let mut integers = d.vec("integers", 1usize..400, |d| {
+                    d.draw("t", 1u32..=cap as u32) as f64
+                });
+                integers.sort_by(|a, b| b.total_cmp(a));
+                let mut terms = vec![cap; k];
+                terms.extend(&integers);
+                let n = terms.len();
+                let mean = terms.iter().sum::<f64>() / n as f64;
+                let integral = integers.iter().map(|&t| t as u64).sum();
+                let decide = |avg: f64| settle_below(k as u64, integral, cap, n, avg);
+                let ulps_off = |ulps: i64| f64::from_bits((mean.to_bits() as i64 + ulps) as u64);
+                let far = 16 * (n as i64 + 2);
+                let offsets = (-8..=8)
+                    .chain((4..=16).flat_map(|j| [-(1i64 << j), 1 << j]))
+                    .chain([-far, far]);
+                for ulps in offsets {
+                    let avg = ulps_off(ulps);
+                    match decide(avg) {
+                        Some(below) => assert_eq!(below, mean < avg, "k={k} n={n} ulps={ulps}"),
+                        None => assert!(k > 0 && ulps.abs() < far, "k={k} n={n} ulps={ulps}"),
+                    }
+                }
+                if k > 0 {
+                    assert_eq!(decide(mean), None, "must defer at the scan's mean, n={n}");
+                }
+            },
+        );
     }
 
     #[test]

@@ -62,10 +62,14 @@ fn cap(n: usize, avg_degree: f64) -> f64 {
 
 #[derive(Debug, Clone, Copy)]
 enum Case {
-    /// Integral cap with runs of at least two on average (run path).
+    /// Integral cap with runs of at least two on average (run path, every
+    /// term an integer).
     IntegralCap,
-    /// Non-integral cap, as collab's 60 · 8.2 (scan path).
+    /// Non-integral cap with `n` just above it (either path).
     FractionalCap,
+    /// Non-integral cap with `2 · cap ≤ n`, as collab's 60 · 8.2 (run
+    /// path, counts checked against the rounding bound).
+    FractionalCapLongRuns,
     /// `2 · cap > n`, as ddi's (scan path).
     ShortRuns,
 }
@@ -74,11 +78,16 @@ enum Case {
 fn fast_profile_matches_the_reference_scan_bitwise() {
     check_with(
         "fast_profile_matches_the_reference_scan_bitwise",
-        Config::cases(48),
+        Config::cases(64),
         |d| {
             let case = d.pick(
                 "case",
-                &[Case::IntegralCap, Case::FractionalCap, Case::ShortRuns],
+                &[
+                    Case::IntegralCap,
+                    Case::FractionalCap,
+                    Case::FractionalCapLongRuns,
+                    Case::ShortRuns,
+                ],
             );
             let (n, avg) = match case {
                 Case::IntegralCap => {
@@ -92,6 +101,14 @@ fn fast_profile_matches_the_reference_scan_bitwise() {
                     let cap = 60.0 * avg;
                     (d.draw("n", cap as usize + 2..cap as usize + 6000), avg)
                 }
+                Case::FractionalCapLongRuns => {
+                    let avg = d.draw("avg", 1.0f64..30.0);
+                    let cap = 60.0 * avg;
+                    (
+                        d.draw("n", 2 * cap as usize + 2..2 * cap as usize + 6000),
+                        avg,
+                    )
+                }
                 Case::ShortRuns => {
                     let n = d.draw("n", 3usize..3000);
                     (n, d.draw("avg", (n as f64 / 100.0).max(1.0)..n as f64))
@@ -101,6 +118,9 @@ fn fast_profile_matches_the_reference_scan_bitwise() {
             match case {
                 Case::IntegralCap => assert!(cap.fract() == 0.0 && 2.0 * cap <= n as f64),
                 Case::FractionalCap => assert!(cap.fract() != 0.0),
+                Case::FractionalCapLongRuns => {
+                    assert!(cap.fract() != 0.0 && 2.0 * cap <= n as f64)
+                }
                 Case::ShortRuns => assert!(2.0 * cap > n as f64),
             }
             let exponent = d.draw("exponent", 0.3f64..1.2);
@@ -109,6 +129,29 @@ fn fast_profile_matches_the_reference_scan_bitwise() {
             let fast = power_law_profile(n, avg, exponent, locality, seed);
             let slow = reference_profile(n, avg, exponent, locality, seed);
             assert_eq!(fast.degrees(), slow.degrees(), "{case:?} n={n} avg={avg}");
+        },
+    );
+}
+
+/// The Time Predictor's random graphs: `(n, avg, exponent)` drawn as
+/// `generate_samples` draws them, with `n` capped at 2^17 (not 2^19.2) to
+/// keep the reference scan short. The draws land on both sides of the run
+/// gate and mostly on fractional caps.
+#[test]
+fn sample_draw_profiles_match_the_reference_scan_bitwise() {
+    check_with(
+        "sample_draw_profiles_match_the_reference_scan_bitwise",
+        Config::cases(24),
+        |d| {
+            let n = 2f64.powf(d.draw("log2_n", 9.0f64..17.0)) as usize;
+            let max_deg = (n as f64 / 2.0).min(600.0);
+            let avg = 2f64.powf(d.draw("log2_avg", 1.0..max_deg.log2()));
+            let exponent = d.draw("exponent", 0.4f64..1.1);
+            assert!((512..1 << 17).contains(&n) && (2.0..max_deg).contains(&avg));
+            let seed = d.draw("seed", 0u64..1 << 40);
+            let fast = power_law_profile(n, avg, exponent, 0.9, seed);
+            let slow = reference_profile(n, avg, exponent, 0.9, seed);
+            assert_eq!(fast.degrees(), slow.degrees(), "n={n} avg={avg}");
         },
     );
 }

@@ -10,10 +10,12 @@ static MATMUL_FLOPS: LazyCounter = LazyCounter::new("linalg.matmul.flops");
 static MATMUL_NS: LazyHistogram = LazyHistogram::new("linalg.matmul.ns");
 
 /// Products below this many multiply-adds (`m·k·n`) run as a single
-/// task. The predictor's MLP runs tens of thousands of tiny products
-/// (its 32×256×1 head is 8 K multiply-adds), and a pool hand-off costs
-/// more than such a product; every GCN product is well above it.
-const PAR_MIN_WORK: usize = 1 << 16;
+/// task. The predictor's MLP runs tens of thousands of small products
+/// (its 32×10×256 and 10×32×256 layer products are 82 K multiply-adds,
+/// its 32×256×1 head 8 K), and a pool hand-off costs more than such a
+/// product. The 115 K-multiply-add products of small GCN training runs
+/// also stay whole: those runs are fanned over the pool already.
+const PAR_MIN_WORK: usize = 1 << 17;
 
 /// A dense `rows × cols` matrix of `f64`, stored row-major.
 ///
@@ -348,9 +350,15 @@ mod tests {
 
     #[test]
     fn matmul_bits_do_not_depend_on_thread_count() {
-        // Wide and narrow outputs, with sizes that force multiple row
-        // blocks once above `PAR_MIN_WORK`.
-        for &(m, kd, n) in &[(70usize, 33usize, 40usize), (70, 33, 3), (70, 330, 3)] {
+        // Wide and narrow outputs on both sides of `PAR_MIN_WORK`: the
+        // 70×60×40 and 70×700×3 products split into several row blocks.
+        for &(m, kd, n) in &[
+            (70usize, 33usize, 40usize),
+            (70, 33, 3),
+            (70, 330, 3),
+            (70, 60, 40),
+            (70, 700, 3),
+        ] {
             let a = Matrix::from_vec(
                 m,
                 kd,

@@ -81,16 +81,21 @@ impl SampleSet {
 /// micro-batch sizes 32/64/128 — the paper's §V-A protocol ("we conduct
 /// six workloads … to gather the execution records").
 pub fn samples_from_datasets(datasets: &[gopim_graph::datasets::Dataset], seed: u64) -> SampleSet {
+    let _span = gopim_obs::span!("predictor.samples_from_datasets");
     let mut rows: Vec<[f64; NUM_FEATURES]> = Vec::new();
     let mut y = Vec::new();
     for &dataset in datasets {
+        // One profile serves all three sizes: `GcnWorkload::build` is
+        // `build_custom` over `dataset.profile(profile_seed)`.
+        let profile = dataset.profile(seed);
         for b in [32usize, 64, 128] {
             let options = WorkloadOptions {
                 micro_batch: b,
                 profile_seed: seed,
                 ..WorkloadOptions::default()
             };
-            let wl = GcnWorkload::build(dataset, &options);
+            let wl =
+                GcnWorkload::build_custom(dataset.name(), &profile, &dataset.model(), &options);
             let avg = dataset.stats().avg_degree;
             for stage in wl.stages() {
                 rows.push(stage_features(&wl, stage, avg));
@@ -112,6 +117,7 @@ pub fn samples_from_datasets(datasets: &[gopim_graph::datasets::Dataset], seed: 
 /// Panics if `count == 0`.
 pub fn generate_samples(count: usize, seed: u64) -> SampleSet {
     assert!(count > 0, "need at least one sample");
+    let _span = gopim_obs::span!("predictor.generate_samples", count);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut rows: Vec<[f64; NUM_FEATURES]> = Vec::with_capacity(count + 16);
     let mut y = Vec::with_capacity(count + 16);
@@ -188,5 +194,18 @@ mod tests {
         let a = generate_samples(30, 9);
         let b = generate_samples(30, 9);
         assert_eq!(a.y, b.y);
+    }
+
+    /// Pins every bit of the Time Predictor's training data: the random
+    /// draws of [`generate_samples`] (fractional and integral caps, long
+    /// and short runs) and the headline datasets' own records.
+    #[test]
+    fn training_data_is_pinned() {
+        use gopim_cache::CanonicalHash;
+        use gopim_graph::datasets::Dataset;
+        let data = generate_samples(700, 1).concat(&samples_from_datasets(&Dataset::HEADLINE, 1));
+        let mut h = gopim_cache::CanonicalHasher::new();
+        data.canonical_hash(&mut h);
+        assert_eq!(h.finish().to_hex(), "050e72d9587133f0be9afe9194cad98c");
     }
 }

@@ -36,6 +36,11 @@ impl TimePredictor {
         seed: u64,
     ) -> Self {
         assert!(!samples.is_empty(), "cannot train on empty samples");
+        let _span = gopim_obs::SpanGuard::enter(
+            "predictor.train",
+            "span",
+            &[("samples", samples.len() as f64), ("epochs", epochs as f64)],
+        );
         let norm = Normalizer::fit(&samples.x);
         let x = norm.transform(&samples.x);
         let y = Matrix::from_vec(samples.y.len(), 1, samples.y.clone());

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf ratchet: run the curated smoke-bench suite (the linalg and
 # sparse-aggregation kernels at square, MLP and GCN-training shapes,
-# one GCN training epoch, degree-profile generation and ranking, and
-# the workload build — fast, single-process, scheduler-light) and
+# one GCN training epoch, degree-profile generation and ranking, the
+# Time Predictor's sample generation, inference and training, and the
+# workload build — fast, single-process, scheduler-light) and
 # compare it against the committed baseline with `gopim bench-diff
 # --ratchet`. Mirrors the lint ratchet: the baseline is a
 # committed artifact, drift beyond the tolerance band fails the run,
@@ -35,10 +36,11 @@ fi
 CURRENT="$RATCHET_DIR/perf_ratchet_current.jsonl"
 rm -f "$CURRENT"
 
-echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + gcn epoch + graph + pipeline build) =="
+echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + gcn epoch + graph + predictor + pipeline build) =="
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT" \
-    cargo bench --offline -p gopim-bench --bench linalg --bench aggregate --bench gcn --bench graph
+    cargo bench --offline -p gopim-bench --bench linalg --bench aggregate --bench gcn --bench graph \
+    --bench predictor
 # Of the pipeline bench only the products build joins the ratchet: its
 # microsecond-scale simulate/DES cases would add noise to the gate
 # without guarding a layer the cold sweep spends time in.

@@ -50,6 +50,14 @@ fn traced_identities(threads: usize) -> Vec<String> {
 
 #[test]
 fn span_identity_multiset_is_thread_count_invariant() {
+    // The runner memoizes degree profiles, so only a memo miss records
+    // `graph.power_law_profile`: build ddi's before either traced leg so
+    // both legs see the same memo state.
+    std::hint::black_box(run_system(
+        Dataset::Ddi,
+        System::Gopim,
+        &RunConfig::default(),
+    ));
     let serial = traced_identities(1);
     let parallel = traced_identities(8);
     assert!(
