@@ -24,6 +24,10 @@
 //!   expensive intermediates (degree profiles, built workloads,
 //!   allocation inputs) that sweep points share copy-on-write.
 //!
+//! Both in-process tiers — the run cache's memory map and every memo —
+//! are one byte-budgeted FIFO table type (`table::FifoTable`): an
+//! entry's weight, not the entry count, bounds what stays resident.
+//!
 //! Everything is std-only and hermetic. The cache is a pure
 //! performance layer: a hit returns the same bytes a fresh computation
 //! would produce, which the differential harness in
@@ -38,6 +42,7 @@ pub mod codec;
 pub mod hash;
 pub mod memo;
 pub mod store;
+mod table;
 
 pub use codec::{CacheValue, Decoder, Encoder};
 pub use hash::{key_of, CacheKey, CanonicalHash, CanonicalHasher, KEY_SCHEMA_VERSION};

@@ -1,12 +1,13 @@
 //! The two-tier content-addressed run cache.
 //!
-//! Tier 1 is an in-process map (`BTreeMap`, bounded bytes, FIFO
-//! eviction) that serves intra-sweep hits: several figures request the
-//! same `(dataset, system, config)` tuple within one process, and a
-//! multi-experiment binary run reuses everything downstream of a shared
-//! key. Tier 2 is opt-in and on disk (`GOPIM_CACHE=dir`): one
-//! length-prefixed record per key, stamped with a format version and
-//! the key schema version, checksummed, written temp-then-rename.
+//! Tier 1 is an in-process map (the byte-budgeted FIFO `FifoTable`,
+//! weighing each entry by its length) that serves intra-sweep hits:
+//! several figures request the same `(dataset, system, config)` tuple
+//! within one process, and a multi-experiment binary run reuses
+//! everything downstream of a shared key. Tier 2 is opt-in and on disk
+//! (`GOPIM_CACHE=dir`): one length-prefixed record per key, stamped
+//! with a format version and the key schema version, checksummed,
+//! written temp-then-rename.
 //! *Any* mismatch — magic, version, schema, key, length, checksum,
 //! truncation — is a silent miss, never an error: a corrupt cache can
 //! cost time, but can never change a result.
@@ -15,7 +16,6 @@
 //! I/O error degrades to "compute it fresh". Nothing in this module
 //! panics, prints, or reads a clock.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -26,6 +26,7 @@ use gopim_obs::metrics::LazyCounter;
 
 use crate::codec::CacheValue;
 use crate::hash::{CacheKey, KEY_SCHEMA_VERSION};
+use crate::table::FifoTable;
 
 static HITS: LazyCounter = LazyCounter::new("cache.hits");
 static MISSES: LazyCounter = LazyCounter::new("cache.misses");
@@ -89,17 +90,10 @@ pub struct StatsSnapshot {
     pub corrupt: u64,
 }
 
-struct MemTier {
-    map: BTreeMap<u128, Arc<Vec<u8>>>,
-    order: VecDeque<u128>,
-    bytes: usize,
-}
-
 /// The two-tier content-addressed store.
 pub struct RunCache {
-    mem: DepMutex<MemTier>,
+    mem: DepMutex<FifoTable<Arc<Vec<u8>>>>,
     disk: Option<PathBuf>,
-    cap_bytes: usize,
     enabled: bool,
     stats: Stats,
 }
@@ -109,16 +103,8 @@ impl RunCache {
     /// runner uses [`global`]).
     pub fn new(disk: Option<PathBuf>, cap_bytes: usize) -> Self {
         RunCache {
-            mem: DepMutex::new(
-                "cache::mem",
-                MemTier {
-                    map: BTreeMap::new(),
-                    order: VecDeque::new(),
-                    bytes: 0,
-                },
-            ),
+            mem: DepMutex::new("cache::mem", FifoTable::new(cap_bytes)),
             disk,
-            cap_bytes,
             enabled: true,
             stats: Stats::default(),
         }
@@ -140,7 +126,7 @@ impl RunCache {
         }
     }
 
-    fn lock_mem(&self) -> DepMutexGuard<'_, MemTier> {
+    fn lock_mem(&self) -> DepMutexGuard<'_, FifoTable<Arc<Vec<u8>>>> {
         // DepMutex recovers from poisoning: a poisoned lock only means
         // another thread panicked mid-insert; the map itself is still
         // structurally sound, and the worst outcome of a torn insert
@@ -153,7 +139,7 @@ impl RunCache {
         if !self.is_active() {
             return None;
         }
-        if let Some(bytes) = self.lock_mem().map.get(&key.as_u128()).cloned() {
+        if let Some(bytes) = self.lock_mem().get(key.as_u128()).cloned() {
             return Some(bytes);
         }
         let dir = self.disk.as_ref()?;
@@ -236,22 +222,8 @@ impl RunCache {
 
     fn insert_mem(&self, key: CacheKey, bytes: Arc<Vec<u8>>) {
         let mut mem = self.lock_mem();
-        let k = key.as_u128();
-        if mem.map.contains_key(&k) {
-            return;
-        }
-        mem.bytes = mem.bytes.saturating_add(bytes.len());
-        mem.map.insert(k, bytes);
-        mem.order.push_back(k);
-        let mut evicted = 0u64;
-        while mem.bytes > self.cap_bytes && mem.order.len() > 1 {
-            if let Some(old) = mem.order.pop_front() {
-                if let Some(b) = mem.map.remove(&old) {
-                    mem.bytes = mem.bytes.saturating_sub(b.len());
-                    evicted += 1;
-                }
-            }
-        }
+        let weight = bytes.len();
+        let evicted = mem.insert(key.as_u128(), bytes, weight);
         if evicted > 0 {
             self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
             EVICTIONS.add(evicted);
@@ -427,7 +399,7 @@ mod tests {
             let _: Vec<u64> = cache.get_or_compute(key, || vec![i; 4]);
         }
         assert!(cache.stats().evictions > 0);
-        assert!(cache.lock_mem().bytes <= 64 + 40);
+        assert!(cache.lock_mem().bytes() <= 64 + 40);
     }
 
     #[test]
@@ -444,7 +416,7 @@ mod tests {
         assert!(cache.get_bytes(key).is_none());
         cache.store(other, Arc::new(vec![1, 2, 3]));
         assert!(!RunCache::record_path(&dir, other).exists());
-        assert!(cache.lock_mem().map.is_empty());
+        assert_eq!(cache.lock_mem().len(), 0);
         let s = cache.stats();
         let counts = [s.hits, s.misses, s.disk_hits, s.evictions, s.corrupt];
         assert_eq!(counts, [0; 5], "a disabled cache counted traffic");

@@ -17,6 +17,7 @@
 //! ML-estimator runs bypass the cache entirely because a trained
 //! predictor has no canonical content hash.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use gopim_pipeline::simulate_traced;
 use gopim_pipeline::trace::export_spans;
 use gopim_pipeline::workload::UpdateAccounting;
 use gopim_pipeline::{
-    simulate, GcnWorkload, MappingKind, PipelineOptions, PipelineResult, WorkloadOptions,
+    simulate, GcnWorkload, MappingKind, PipelineOptions, PipelineResult, StageSpec, WorkloadOptions,
 };
 use gopim_predictor::TimePredictor;
 use gopim_reram::spec::AcceleratorSpec;
@@ -42,11 +43,31 @@ use crate::system::{Ablation, System};
 static RUNS: LazyCounter = LazyCounter::new("runner.system_runs");
 static SWEEP_DEDUP: LazyCounter = LazyCounter::new("cache.sweep_dedup");
 
-/// Profiles are small and few; workloads dominate memory (per-stage ×
-/// per-micro-batch write matrices), so both tables stay bounded.
-static PROFILE_MEMO: Memo<DegreeProfile> = Memo::new(64);
-static WORKLOAD_MEMO: Memo<GcnWorkload> = Memo::new(96);
-static ALLOC_INPUT_MEMO: Memo<AllocInput> = Memo::new(256);
+/// Each memo is bounded by the heap bytes of its entries, which span
+/// three orders of magnitude: a ddi profile is 17 KB and a products
+/// one 9.8 MB; a ddi or Cora workload 2.8–9.2 KB and a products one
+/// 3.7 MB. The budget keeps several of the largest resident and the
+/// serve layer's whole working set of ddi/Cora profiles and workloads.
+static PROFILE_MEMO: Memo<DegreeProfile> = Memo::new(profile_weight);
+static WORKLOAD_MEMO: Memo<GcnWorkload> = Memo::new(workload_weight);
+static ALLOC_INPUT_MEMO: Memo<AllocInput> = Memo::new(alloc_input_weight);
+
+/// A profile's weight: its `u32` degree per vertex.
+fn profile_weight(profile: &DegreeProfile) -> usize {
+    4 * profile.num_vertices()
+}
+
+/// A workload's weight: per stage, its `StageSpec` and one `f64`
+/// write time per micro-batch.
+fn workload_weight(workload: &GcnWorkload) -> usize {
+    workload.stages().len() * (size_of::<StageSpec>() + 8 * workload.num_microbatches())
+}
+
+/// An allocator input's weight: the struct itself (128 B, the same
+/// order as its data) and its four per-stage vectors, 32 B a stage.
+fn alloc_input_weight(input: &AllocInput) -> usize {
+    size_of::<AllocInput>() + input.num_stages() * (3 * size_of::<f64>() + size_of::<usize>())
+}
 
 /// Simulates the schedule, and — when span collection is on — re-runs
 /// it traced and exports the schedule as one simulated Chrome-trace
@@ -193,14 +214,25 @@ impl CacheValue for SystemRun {
     }
 }
 
-fn scaled_profile(profile: &DegreeProfile, retain: f64) -> DegreeProfile {
-    DegreeProfile::from_degrees(
+/// The profile a system runs on: SlimGNN-like's pruned input subgraph
+/// (every degree scaled by the retained edge fraction), any other
+/// system's borrowed as is.
+fn system_profile<'a>(
+    profile: &'a DegreeProfile,
+    system: System,
+    config: &RunConfig,
+) -> Cow<'a, DegreeProfile> {
+    if system != System::SlimGnnLike {
+        return Cow::Borrowed(profile);
+    }
+    let retain = config.slimgnn_prune_retain;
+    Cow::Owned(DegreeProfile::from_degrees(
         profile
             .degrees()
             .iter()
             .map(|&d| ((f64::from(d) * retain).round() as u32).max(1))
             .collect(),
-    )
+    ))
 }
 
 /// Builds the workload options a system implies for a dataset profile.
@@ -443,11 +475,7 @@ pub fn run_systems(configs: &[(Dataset, System)], config: &RunConfig) -> Vec<Sys
 /// already requested this process.
 pub fn build_workload(dataset: Dataset, system: System, config: &RunConfig) -> GcnWorkload {
     let base = dataset_profile(dataset, config.profile_seed);
-    let profile = if system == System::SlimGnnLike {
-        scaled_profile(&base, config.slimgnn_prune_retain)
-    } else {
-        (*base).clone()
-    };
+    let profile = system_profile(&base, system, config);
     let options = workload_options(system, &profile, config);
     let (_, workload) = memo_workload(dataset.name(), &profile, &dataset.model(), &options);
     (*workload).clone()
@@ -462,11 +490,7 @@ pub fn allocation_plan(
     config: &RunConfig,
 ) -> (Vec<usize>, Vec<usize>) {
     let base = dataset_profile(dataset, config.profile_seed);
-    let profile = if system == System::SlimGnnLike {
-        scaled_profile(&base, config.slimgnn_prune_retain)
-    } else {
-        (*base).clone()
-    };
+    let profile = system_profile(&base, system, config);
     let options = workload_options(system, &profile, config);
     let (_, workload) = memo_workload(dataset.name(), &profile, &dataset.model(), &options);
     let spec = AcceleratorSpec::paper();
@@ -493,11 +517,7 @@ pub fn run_system_custom(
     system: System,
     config: &RunConfig,
 ) -> SystemRun {
-    let profile = if system == System::SlimGnnLike {
-        scaled_profile(profile, config.slimgnn_prune_retain)
-    } else {
-        profile.clone()
-    };
+    let profile = system_profile(profile, system, config);
     let options = workload_options(system, &profile, config);
     let (workload_key, workload) = memo_workload(name, &profile, model, &options);
     finish_run(
@@ -518,11 +538,7 @@ pub fn run_system_on_profile(
     system: System,
     config: &RunConfig,
 ) -> SystemRun {
-    let profile = if system == System::SlimGnnLike {
-        scaled_profile(profile, config.slimgnn_prune_retain)
-    } else {
-        profile.clone()
-    };
+    let profile = system_profile(profile, system, config);
     let options = workload_options(system, &profile, config);
     let (workload_key, workload) =
         memo_workload(dataset.name(), &profile, &dataset.model(), &options);
@@ -783,6 +799,23 @@ mod tests {
         assert!(run.replicas.iter().all(|&r| r == 1));
         // Table VI Serial total: ours 2×(32+536+32+536) = 2272.
         assert_eq!(run.total_crossbars(), 2272);
+    }
+
+    #[test]
+    fn memo_weights_count_the_dominant_heap_bytes() {
+        // Fresh builds, not the process-global memos other tests fill.
+        let config = quick_config();
+        let profile = Dataset::Ddi.profile(config.profile_seed);
+        assert_eq!(profile_weight(&profile), 17_068, "4 bytes per ddi vertex");
+        let model = Dataset::Ddi.model();
+        let options = workload_options(System::Gopim, &profile, &config);
+        let workload = GcnWorkload::build_custom("ddi", &profile, &model, &options);
+        // Counted from ddi itself, not from the workload accessors the
+        // weight reads: 4 stages per layer, each holding one `f64`
+        // write time per micro-batch of the 4,267 vertices.
+        let stages = 4 * model.num_layers;
+        let microbatches = 4_267usize.div_ceil(config.micro_batch);
+        assert!(workload_weight(&workload) >= 8 * stages * microbatches);
     }
 
     #[test]
