@@ -3,29 +3,38 @@
 //!
 //! Thread model (all std, no async runtime):
 //!
-//! - one **accept** thread turning connections into reader/writer
-//!   thread pairs;
+//! - one **accept** thread turning each connection into a reader
+//!   thread;
 //! - one **reader** per connection parsing frames (with a read
 //!   timeout: a stalled mid-frame peer — a slow loris — is cut off
-//!   without touching other connections);
-//! - one **writer** per connection draining an mpsc channel of encoded
-//!   response frames, so workers never block on a slow consumer's
-//!   socket;
+//!   without touching other connections) and answering every request
+//!   that needs no worker;
 //! - `workers` **executor** threads popping the [`FairQueue`]. The
 //!   executors only orchestrate: a job's actual simulation fans out on
 //!   the process-wide `gopim-par` pool inside the handler, exactly as
 //!   an in-process run would.
 //!
+//! All scheduler state sits behind one lock, `serve::state`. Each
+//! reply is written to the socket by the thread that produced it,
+//! under its connection's `serve::writer` lock: the reader writes
+//! `HelloAck`, `Accepted`, `Busy`, `ShuttingDown`, cache-served `Done`,
+//! `Cancelled` (or a refused cancel's `Failed`), `StatsReply` and
+//! `ProtoError`; a worker writes `Done`, `Failed` and `Expired`. The
+//! socket's write timeout bounds how long a peer that stops reading
+//! can hold a thread: a write that fails or times out cuts the
+//! connection. The only nesting is `writer → state` — admission runs
+//! under the writer, so a job's `Accepted` is on the wire before a
+//! worker can answer it — and no code takes a writer, or touches a
+//! socket, while holding `state`.
+//!
 //! Every admitted job is answered exactly once with `Done`, `Failed`,
 //! `Cancelled` or `Expired`; shutdown drains the queue before the
 //! workers exit, so acceptance is a delivery promise (modulo the
-//! client hanging up first).
+//! client hanging up first, or not reading its replies).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,9 +94,11 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Queue-depth cap; submissions beyond it get a `Busy` reply.
     pub max_queue: usize,
-    /// Per-connection read timeout. A peer stalled mid-frame longer
-    /// than this is disconnected (slow-loris mitigation); an idle peer
-    /// between frames is unaffected.
+    /// Per-connection socket timeout, for reads and for writes. A peer
+    /// stalled mid-frame longer than this is disconnected (slow-loris
+    /// mitigation); an idle peer between frames is unaffected. A peer
+    /// that stops reading is disconnected once a reply write stalls
+    /// this long, so it holds neither a thread nor shutdown.
     pub read_timeout: Duration,
     /// Display name echoed in `HelloAck`.
     pub server_name: String,
@@ -129,53 +140,69 @@ struct QueuedJob {
     submitted_at: Instant,
 }
 
-struct SchedState {
-    queue: FairQueue<QueuedJob>,
-    jobs: BTreeMap<u64, JobMeta>,
-    running: usize,
-    accepting: bool,
-}
-
-struct ConnHandle {
-    tx: Sender<Vec<u8>>,
+/// One connection. Its reader thread reads `stream`; every reply goes
+/// out through `writer`, written by the thread that produced it.
+struct Conn {
+    writer: DepMutex<TcpStream>,
+    /// The reader's handle, never locked; also used to cut the socket.
     stream: TcpStream,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cache_served: AtomicU64,
-    busy: AtomicU64,
-    cancelled: AtomicU64,
-    expired: AtomicU64,
+impl Conn {
+    /// Writes one reply.
+    fn send(&self, resp: &Response) {
+        let bytes = resp.to_frame_bytes();
+        let mut writer = self.writer.lock();
+        self.write(&mut writer, &bytes);
+    }
+
+    /// Writes `bytes` through the held writer guard. A write that fails
+    /// or outlasts the write timeout cuts the connection: its reader
+    /// then exits and deregisters it, and later writes fail at once.
+    fn write(&self, writer: &mut TcpStream, bytes: &[u8]) {
+        if writer.write_all(bytes).is_err() {
+            self.cut();
+        }
+    }
+
+    /// Shuts the socket down both ways, which unblocks its reader.
+    fn cut(&self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
-struct Handles {
-    accept: Option<JoinHandle<()>>,
+/// Everything the scheduler knows, behind the one `serve::state` lock.
+struct State {
+    queue: FairQueue<QueuedJob>,
+    jobs: BTreeMap<u64, JobMeta>,
+    conns: BTreeMap<u64, Arc<Conn>>,
+    /// Running totals and the running count; `queued` is read off the
+    /// queue per snapshot.
+    stats: ServerStats,
+    next_job: u64,
+    /// Set by the first shutdown: admission closes, and the workers
+    /// exit once the queue is empty.
+    shutting_down: bool,
+    /// Set once the teardown has finished.
+    done: bool,
     workers: Vec<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
-    writers: Vec<JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
 }
 
 struct Core {
     cfg: ServerConfig,
     handler: Arc<dyn JobHandler>,
-    // Every lock sits on `gopim_obs::DepMutex`: poison recovery (a
-    // poisoned lock means a handler panicked; every multi-field
-    // transition completes before its guard drops, so the state is
-    // never torn) plus the `GOPIM_LOCKDEP=1` order witness.
-    state: DepMutex<SchedState>,
+    // A `gopim_obs::DepMutex`: poison recovery (a poisoned lock means a
+    // handler panicked; every multi-field transition completes before
+    // its guard drops, so the state is never torn) plus the
+    // `GOPIM_LOCKDEP=1` order witness.
+    state: DepMutex<State>,
+    /// Workers wait here for a job or for shutdown.
     work_cv: DepCondvar,
-    conns: DepMutex<BTreeMap<u64, ConnHandle>>,
-    handles: DepMutex<Handles>,
-    counters: Counters,
-    addr: SocketAddr,
-    shutting_down: AtomicBool,
-    next_job: AtomicU64,
-    next_conn: AtomicU64,
-    done: DepMutex<bool>,
+    /// Shutdown waits here for the connection table to empty, and
+    /// [`Server::wait`] for `done`.
     done_cv: DepCondvar,
+    addr: SocketAddr,
 }
 
 /// A running job server. Bind with [`Server::bind`], stop with
@@ -204,31 +231,21 @@ impl Server {
             handler,
             state: DepMutex::new(
                 "serve::state",
-                SchedState {
+                State {
                     queue: FairQueue::new(),
                     jobs: BTreeMap::new(),
-                    running: 0,
-                    accepting: true,
+                    conns: BTreeMap::new(),
+                    stats: ServerStats::default(),
+                    next_job: 1,
+                    shutting_down: false,
+                    done: false,
+                    workers: Vec::new(),
+                    accept: None,
                 },
             ),
             work_cv: DepCondvar::new(),
-            conns: DepMutex::new("serve::conns", BTreeMap::new()),
-            handles: DepMutex::new(
-                "serve::handles",
-                Handles {
-                    accept: None,
-                    workers: Vec::new(),
-                    readers: Vec::new(),
-                    writers: Vec::new(),
-                },
-            ),
-            counters: Counters::default(),
-            addr: local,
-            shutting_down: AtomicBool::new(false),
-            next_job: AtomicU64::new(1),
-            next_conn: AtomicU64::new(1),
-            done: DepMutex::new("serve::done", false),
             done_cv: DepCondvar::new(),
+            addr: local,
         });
         if gopim_obs::manifest_enabled() {
             gopim_obs::manifest::record_u64("serve.workers", cfg.workers as u64);
@@ -236,10 +253,12 @@ impl Server {
             gopim_obs::manifest::record_str("serve.addr", local.to_string());
         }
         {
-            let mut handles = core.handles.lock();
+            // Spawn under the lock: a shutdown racing `bind` finds every
+            // handle it must join.
+            let mut st = core.state.lock();
             for i in 0..cfg.workers.max(1) {
                 let c = Arc::clone(&core);
-                handles.workers.push(
+                st.workers.push(
                     std::thread::Builder::new()
                         .name(format!("serve-worker-{i}"))
                         .spawn(move || worker_loop(&c))
@@ -247,7 +266,7 @@ impl Server {
                 );
             }
             let c = Arc::clone(&core);
-            handles.accept = Some(
+            st.accept = Some(
                 std::thread::Builder::new()
                     .name("serve-accept".to_string())
                     .spawn(move || accept_loop(&c, listener))
@@ -282,164 +301,105 @@ impl Server {
     /// Blocks until the server shuts down — via [`Server::shutdown`]
     /// or a client's protocol `Shutdown` message.
     pub fn wait(&self) {
-        let mut done = self.core.done.lock();
-        while !*done {
-            done = self.core.done_cv.wait(done);
+        let mut st = self.core.state.lock();
+        while !st.done {
+            st = self.core.done_cv.wait(st);
         }
     }
 }
 
 impl Core {
     fn stats(&self) -> ServerStats {
-        let (queued, running) = {
-            let st = self.state.lock();
-            (st.queue.depth() as u64, st.running as u64)
-        };
+        let st = self.state.lock();
         ServerStats {
-            queued,
-            running,
-            submitted: self.counters.submitted.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            cache_served: self.counters.cache_served.load(Ordering::Relaxed),
-            busy_rejections: self.counters.busy.load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled.load(Ordering::Relaxed),
-            expired: self.counters.expired.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Queues `resp` for delivery on `conn`; silently dropped when the
-    /// connection is gone (the client hung up — nobody is listening).
-    fn send(&self, conn: u64, resp: &Response) {
-        let bytes = resp.to_frame_bytes();
-        let tx = self.conns.lock().get(&conn).map(|c| c.tx.clone());
-        if let Some(tx) = tx {
-            let _ = tx.send(bytes);
+            queued: st.queue.depth() as u64,
+            ..st.stats
         }
     }
 
     fn shutdown(&self) {
-        // First caller performs the teardown; later callers (including
-        // protocol-triggered ones racing an explicit shutdown) just
-        // wait for `done`.
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            let mut done = self.done.lock();
-            while !*done {
-                done = self.done_cv.wait(done);
-            }
-            return;
-        }
-        {
+        // The first caller tears down; later callers (a protocol
+        // Shutdown racing an explicit one) wait for `done`.
+        let workers = {
             let mut st = self.state.lock();
-            st.accepting = false;
-        }
+            if st.shutting_down {
+                while !st.done {
+                    st = self.done_cv.wait(st);
+                }
+                return;
+            }
+            st.shutting_down = true;
+            std::mem::take(&mut st.workers)
+        };
         self.work_cv.notify_all();
-        // Workers drain the queue, answering every accepted job, then
-        // exit on the shutdown flag.
-        let workers = std::mem::take(&mut self.handles.lock().workers);
+        // Workers drain the queue, each writing its own replies, so once
+        // they are joined every accepted job has been answered.
         for w in workers {
             let _ = w.join();
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        let accept = self.handles.lock().accept.take();
+        let accept = self.state.lock().accept.take();
         if let Some(a) = accept {
             let _ = a.join();
         }
-        // Drop every connection's reply sender (keeping the streams
-        // alive), then join the writers: each one drains its channel,
-        // flushes, and exits — so every reply a worker produced reaches
-        // the wire before any socket is cut. Acceptance stays a
-        // delivery promise through shutdown.
-        let streams: Vec<TcpStream> = {
-            let mut conns = self.conns.lock();
-            std::mem::take(&mut *conns)
-                .into_values()
-                .map(|h| h.stream)
-                .collect()
-        };
-        let writers = std::mem::take(&mut self.handles.lock().writers);
-        for w in writers {
-            let _ = w.join();
+        // Cut every socket, then wait for each reader to deregister.
+        let conns: Vec<Arc<Conn>> = self.state.lock().conns.values().cloned().collect();
+        for conn in &conns {
+            conn.cut();
         }
-        // Only now cut the sockets, unblocking readers parked in read.
-        for s in &streams {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+        {
+            let mut st = self.state.lock();
+            while !st.conns.is_empty() {
+                st = self.done_cv.wait(st);
+            }
+            st.done = true;
         }
-        let readers = std::mem::take(&mut self.handles.lock().readers);
-        for r in readers {
-            let _ = r.join();
-        }
-        gopim_obs::log_info!("serve: drained and shut down");
-        let mut done = self.done.lock();
-        *done = true;
         self.done_cv.notify_all();
+        gopim_obs::log_info!("serve: drained and shut down");
     }
 }
 
 fn accept_loop(core: &Arc<Core>, listener: TcpListener) {
+    let mut next_conn = 1u64;
     for stream in listener.incoming() {
-        if core.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
+        let Ok(stream) = stream else { continue };
         // Job replies are small frames; without nodelay they sit in
         // Nagle/delayed-ACK purgatory for tens of milliseconds.
         let _ = stream.set_nodelay(true);
-        let conn_id = core.next_conn.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.set_read_timeout(Some(core.cfg.read_timeout));
+        let _ = stream.set_write_timeout(Some(core.cfg.read_timeout));
+        let Ok(writer) = stream.try_clone() else {
+            continue;
+        };
+        let conn = Arc::new(Conn {
+            writer: DepMutex::new("serve::writer", writer),
+            stream,
+        });
+        let conn_id = next_conn;
+        next_conn += 1;
+        {
+            let mut st = core.state.lock();
+            if st.shutting_down {
+                break;
+            }
+            st.conns.insert(conn_id, Arc::clone(&conn));
+        }
         CONNECTIONS.add(1);
-        let (tx, rx) = channel::<Vec<u8>>();
-        let write_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        // Clone before taking the lock: cloning inside the `insert`
-        // argument would re-enter `core.conns` on the failure path (a
-        // single-thread self-deadlock, caught by lock-order-inversion).
-        let handle_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        core.conns.lock().insert(
-            conn_id,
-            ConnHandle {
-                tx,
-                stream: handle_stream,
-            },
-        );
         let c = Arc::clone(core);
         let reader = std::thread::Builder::new()
             .name(format!("serve-conn-{conn_id}"))
-            .spawn(move || conn_loop(&c, conn_id, stream));
-        let writer = std::thread::Builder::new()
-            .name(format!("serve-write-{conn_id}"))
-            .spawn(move || {
-                let mut stream = write_stream;
-                while let Ok(bytes) = rx.recv() {
-                    if stream.write_all(&bytes).is_err() {
-                        break;
-                    }
-                }
-                let _ = stream.flush();
-            });
-        let mut handles = core.handles.lock();
-        if let Ok(r) = reader {
-            handles.readers.push(r);
-        }
-        if let Ok(w) = writer {
-            handles.writers.push(w);
+            .spawn(move || conn_loop(&c, conn_id, &conn));
+        if reader.is_err() {
+            disconnect(core, conn_id);
         }
     }
 }
 
 /// Per-connection read loop: accumulate bytes, decode frames, dispatch
 /// requests. Returns when the peer disconnects, misbehaves, or the
-/// server shuts the stream down.
-fn conn_loop(core: &Arc<Core>, conn_id: u64, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(core.cfg.read_timeout));
-    let mut stream = stream;
+/// socket is cut.
+fn conn_loop(core: &Arc<Core>, conn_id: u64, conn: &Conn) {
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 16 * 1024];
     let mut hello_seen = false;
@@ -452,59 +412,38 @@ fn conn_loop(core: &Arc<Core>, conn_id: u64, stream: TcpStream) {
                     buf.drain(..consumed);
                     match Request::from_frame(&frame) {
                         Ok(req) => {
-                            if !handle_request(core, conn_id, &mut hello_seen, req) {
+                            if !handle_request(core, conn_id, conn, &mut hello_seen, req) {
                                 break 'conn;
                             }
                         }
                         Err(e) => {
-                            BAD_FRAMES.add(1);
-                            core.send(
-                                conn_id,
-                                &Response::ProtoError {
-                                    message: e.to_string(),
-                                },
-                            );
+                            reject(conn, e.to_string());
                             break 'conn;
                         }
                     }
                 }
                 Err(e) => {
-                    BAD_FRAMES.add(1);
-                    core.send(
-                        conn_id,
-                        &Response::ProtoError {
-                            message: e.to_string(),
-                        },
-                    );
+                    reject(conn, e.to_string());
                     break 'conn;
                 }
             }
         }
-        match stream.read(&mut tmp) {
+        match (&conn.stream).read(&mut tmp) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&tmp[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if core.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
                 if buf.is_empty() {
                     // Idle between frames: a client waiting for results
                     // legitimately sends nothing. Keep listening.
                     continue;
                 }
                 // Mid-frame stall past the read timeout: slow loris.
-                BAD_FRAMES.add(1);
-                core.send(
-                    conn_id,
-                    &Response::ProtoError {
-                        message: format!(
-                            "read timeout with {} byte(s) of a partial frame",
-                            buf.len()
-                        ),
-                    },
+                reject(
+                    conn,
+                    format!("read timeout with {} byte(s) of a partial frame", buf.len()),
                 );
                 break;
             }
@@ -512,20 +451,20 @@ fn conn_loop(core: &Arc<Core>, conn_id: u64, stream: TcpStream) {
         }
     }
     disconnect(core, conn_id);
-    // No explicit socket shutdown here: a final ProtoError may still
-    // sit in the writer's channel. `disconnect` dropped the reply
-    // sender, so the writer drains, flushes and exits; the socket
-    // closes when the last clone (this one, the writer's) drops —
-    // after the reply reached the wire, never before.
-    drop(stream);
 }
 
-/// Removes the connection and abandons its still-queued jobs so a dead
-/// client's backlog stops consuming queue slots and worker time.
-fn disconnect(core: &Arc<Core>, conn_id: u64) {
-    let removed = core.conns.lock().remove(&conn_id);
-    drop(removed); // closes the writer channel once job senders drain
+/// Answers a malformed frame or body with a `ProtoError`; the caller
+/// then closes the connection.
+fn reject(conn: &Conn, message: String) {
+    BAD_FRAMES.add(1);
+    conn.send(&Response::ProtoError { message });
+}
+
+/// Deregisters the connection and abandons its still-queued jobs so a
+/// dead client's backlog stops consuming queue slots and worker time.
+fn disconnect(core: &Core, conn_id: u64) {
     let mut st = core.state.lock();
+    st.conns.remove(&conn_id);
     let orphaned: Vec<u64> = st
         .jobs
         .iter()
@@ -533,23 +472,27 @@ fn disconnect(core: &Arc<Core>, conn_id: u64) {
         .map(|(&id, _)| id)
         .collect();
     for job_id in orphaned {
-        if st.queue.cancel(job_id) {
-            st.jobs.remove(&job_id);
-            ABANDONED.add(1);
-        }
+        st.queue.cancel(job_id);
+        st.jobs.remove(&job_id);
+        ABANDONED.add(1);
     }
+    // Shutdown waits for the connection table to empty.
+    core.done_cv.notify_all();
 }
 
 /// Handles one request; returns `false` when the connection must
 /// close (protocol violation before `Hello`).
-fn handle_request(core: &Arc<Core>, conn_id: u64, hello_seen: &mut bool, req: Request) -> bool {
+fn handle_request(
+    core: &Arc<Core>,
+    conn_id: u64,
+    conn: &Conn,
+    hello_seen: &mut bool,
+    req: Request,
+) -> bool {
     if !*hello_seen && !matches!(req, Request::Hello { .. }) {
-        core.send(
-            conn_id,
-            &Response::ProtoError {
-                message: "first frame must be Hello".to_string(),
-            },
-        );
+        conn.send(&Response::ProtoError {
+            message: "first frame must be Hello".to_string(),
+        });
         return false;
     }
     match req {
@@ -558,38 +501,29 @@ fn handle_request(core: &Arc<Core>, conn_id: u64, hello_seen: &mut bool, req: Re
             schema,
         } => {
             if schema != PROTO_SCHEMA {
-                core.send(
-                    conn_id,
-                    &Response::ProtoError {
-                        message: format!("schema mismatch: client {schema}, server {PROTO_SCHEMA}"),
-                    },
-                );
+                conn.send(&Response::ProtoError {
+                    message: format!("schema mismatch: client {schema}, server {PROTO_SCHEMA}"),
+                });
                 return false;
             }
             *hello_seen = true;
             gopim_obs::log_debug!("serve: conn {conn_id} hello from '{client_name}'");
-            core.send(
-                conn_id,
-                &Response::HelloAck {
-                    schema: PROTO_SCHEMA,
-                    server_name: core.cfg.server_name.clone(),
-                },
-            );
+            conn.send(&Response::HelloAck {
+                schema: PROTO_SCHEMA,
+                server_name: core.cfg.server_name.clone(),
+            });
         }
         Request::Submit {
             client_job_id,
             deadline_ms,
             payload,
-        } => submit(core, conn_id, client_job_id, deadline_ms, payload),
-        Request::Cancel { job_id } => cancel(core, conn_id, job_id),
-        Request::Stats => {
-            let stats = core.stats();
-            core.send(conn_id, &Response::StatsReply(stats));
-        }
+        } => submit(core, conn_id, conn, client_job_id, deadline_ms, payload),
+        Request::Cancel { job_id } => cancel(core, conn_id, conn, job_id),
+        Request::Stats => conn.send(&Response::StatsReply(core.stats())),
         Request::Shutdown => {
-            core.send(conn_id, &Response::ShuttingDown);
-            // Tear down from a detached thread: this reader is among
-            // the threads the teardown joins.
+            conn.send(&Response::ShuttingDown);
+            // Tear down from a detached thread: the teardown waits for
+            // this reader to deregister.
             let c = Arc::clone(core);
             let _ = std::thread::Builder::new()
                 .name("serve-shutdown".to_string())
@@ -599,52 +533,63 @@ fn handle_request(core: &Arc<Core>, conn_id: u64, hello_seen: &mut bool, req: Re
     true
 }
 
-fn submit(core: &Arc<Core>, conn_id: u64, client_job_id: u64, deadline_ms: u64, payload: Vec<u8>) {
-    if core.shutting_down.load(Ordering::SeqCst) {
-        core.send(conn_id, &Response::ShuttingDown);
-        return;
-    }
+fn submit(
+    core: &Core,
+    conn_id: u64,
+    conn: &Conn,
+    client_job_id: u64,
+    deadline_ms: u64,
+    payload: Vec<u8>,
+) {
     let key = core.handler.cache_key(&payload);
     // Cache fast path: a repeated request is answered inline without
     // consuming a queue slot or a worker.
-    if let Some(key) = key {
-        if let Some(bytes) = gopim_cache::global().get_bytes(key) {
-            let job_id = core.next_job.fetch_add(1, Ordering::Relaxed);
+    let cached = key.and_then(|k| gopim_cache::global().get_bytes(k));
+    let cost = match cached {
+        Some(_) => 0.0,
+        None => core.handler.predicted_cost_ns(&payload),
+    };
+    let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
+    // Admit under this connection's writer: a worker answers a job only
+    // through the same writer, so its `Accepted` is on the wire first.
+    let mut writer = conn.writer.lock();
+    let replies = {
+        let mut st = core.state.lock();
+        if st.shutting_down {
+            vec![Response::ShuttingDown]
+        } else if let Some(bytes) = cached {
+            let job_id = st.next_job;
+            st.next_job += 1;
+            st.stats.submitted += 1;
+            st.stats.cache_served += 1;
+            st.stats.completed += 1;
             SUBMITTED.add(1);
             CACHE_SERVED.add(1);
             COMPLETED.add(1);
-            core.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            core.counters.cache_served.fetch_add(1, Ordering::Relaxed);
-            core.counters.completed.fetch_add(1, Ordering::Relaxed);
-            core.send(
-                conn_id,
-                &Response::Accepted {
+            vec![
+                Response::Accepted {
                     client_job_id,
                     job_id,
                 },
-            );
-            core.send(
-                conn_id,
-                &Response::Done {
+                Response::Done {
                     job_id,
                     client_job_id,
                     cache_served: true,
                     result: bytes.to_vec(),
                 },
-            );
-            return;
-        }
-    }
-    let cost = core.handler.predicted_cost_ns(&payload);
-    let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
-    let (verdict, depth) = {
-        let mut st = core.state.lock();
-        if !st.accepting {
-            (None, 0)
+            ]
         } else if st.queue.depth() >= core.cfg.max_queue {
-            (Some(false), st.queue.depth())
+            st.stats.busy_rejections += 1;
+            BUSY.add(1);
+            vec![Response::Busy {
+                client_job_id,
+                queue_depth: st.queue.depth() as u64,
+            }]
         } else {
-            let job_id = core.next_job.fetch_add(1, Ordering::Relaxed);
+            let job_id = st.next_job;
+            st.next_job += 1;
+            st.stats.submitted += 1;
+            SUBMITTED.add(1);
             st.jobs.insert(
                 job_id,
                 JobMeta {
@@ -666,124 +611,106 @@ fn submit(core: &Arc<Core>, conn_id: u64, client_job_id: u64, deadline_ms: u64, 
                     submitted_at: Instant::now(),
                 },
             );
-            let depth = st.queue.depth();
-            QUEUE_DEPTH.record_max(depth as u64);
-            (Some(true), job_id as usize)
+            QUEUE_DEPTH.record_max(st.queue.depth() as u64);
+            core.work_cv.notify_one();
+            vec![Response::Accepted {
+                client_job_id,
+                job_id,
+            }]
         }
     };
-    match verdict {
-        None => core.send(conn_id, &Response::ShuttingDown),
-        Some(false) => {
-            BUSY.add(1);
-            core.counters.busy.fetch_add(1, Ordering::Relaxed);
-            core.send(
-                conn_id,
-                &Response::Busy {
-                    client_job_id,
-                    queue_depth: depth as u64,
-                },
-            );
-        }
-        Some(true) => {
-            SUBMITTED.add(1);
-            core.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            core.send(
-                conn_id,
-                &Response::Accepted {
-                    client_job_id,
-                    job_id: depth as u64,
-                },
-            );
-            core.work_cv.notify_one();
-        }
-    }
+    let bytes: Vec<u8> = replies.iter().flat_map(Response::to_frame_bytes).collect();
+    conn.write(&mut writer, &bytes);
 }
 
-fn cancel(core: &Arc<Core>, conn_id: u64, job_id: u64) {
+fn cancel(core: &Core, conn_id: u64, conn: &Conn, job_id: u64) {
     let reply = {
         let mut st = core.state.lock();
-        match st.jobs.get_mut(&job_id) {
-            Some(meta) if meta.phase == Phase::Queued => {
+        // Another connection's job is unknown to this one.
+        let reply = match st.jobs.get_mut(&job_id) {
+            Some(meta) if meta.conn == conn_id && meta.phase == Phase::Queued => {
                 let client_job_id = meta.client_job_id;
                 st.queue.cancel(job_id);
                 st.jobs.remove(&job_id);
                 Some(client_job_id)
             }
-            Some(meta) if meta.phase == Phase::Running => {
+            Some(meta) if meta.conn == conn_id && meta.phase == Phase::Running => {
                 meta.phase = Phase::CancelRunning;
                 Some(meta.client_job_id)
             }
             _ => None,
+        };
+        if reply.is_some() {
+            st.stats.cancelled += 1;
         }
+        reply
     };
     match reply {
         Some(client_job_id) => {
             CANCELLED.add(1);
-            core.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            core.send(
-                conn_id,
-                &Response::Cancelled {
-                    job_id,
-                    client_job_id,
-                },
-            );
-        }
-        None => core.send(
-            conn_id,
-            &Response::Failed {
+            conn.send(&Response::Cancelled {
                 job_id,
-                client_job_id: 0,
-                message: format!("cancel: job {job_id} unknown or already completed"),
-            },
-        ),
+                client_job_id,
+            });
+        }
+        None => conn.send(&Response::Failed {
+            job_id,
+            client_job_id: 0,
+            message: format!("cancel: job {job_id} unknown or already completed"),
+        }),
     }
 }
 
-fn worker_loop(core: &Arc<Core>) {
+/// Writes a worker's reply to connection `conn_id`; dropped when the
+/// connection is gone (the client hung up — nobody is listening).
+fn reply(core: &Core, conn_id: u64, resp: &Response) {
+    let conn = core.state.lock().conns.get(&conn_id).cloned();
+    if let Some(conn) = conn {
+        conn.send(resp);
+    }
+}
+
+fn worker_loop(core: &Core) {
     loop {
-        let popped = {
+        // Pop a job and settle its phase under the same lock, so a
+        // cancel never finds a popped job still marked queued (a
+        // cancelled entry never pops).
+        let (job_id, job, expired) = {
             let mut st = core.state.lock();
-            loop {
+            let popped = loop {
                 if let Some(p) = st.queue.pop() {
-                    break Some(p);
+                    break p;
                 }
-                if core.shutting_down.load(Ordering::SeqCst) {
-                    break None;
+                if st.shutting_down {
+                    return;
                 }
                 st = core.work_cv.wait(st);
-            }
-        };
-        let Some(popped) = popped else { return };
-        let job_id = popped.job_id;
-        let job = popped.item;
-        // The queued-phase check already happened: a cancelled entry
-        // never pops. Deadline check happens at dispatch — a job that
-        // waited past its deadline is dropped with a typed reply
-        // instead of burning a worker.
-        if job.deadline.is_some_and(|d| Instant::now() > d) {
-            core.state.lock().jobs.remove(&job_id);
-            EXPIRED.add(1);
-            core.counters.expired.fetch_add(1, Ordering::Relaxed);
-            core.send(
-                job.conn,
-                &Response::Expired {
-                    job_id,
-                    client_job_id: job.client_job_id,
-                },
-            );
-            continue;
-        }
-        {
-            let mut st = core.state.lock();
-            match st.jobs.get_mut(&job_id) {
-                Some(meta) => {
+            };
+            let (job_id, job) = (popped.job_id, popped.item);
+            // Deadline check at dispatch: a job that waited past its
+            // deadline is dropped with a typed reply instead of burning
+            // a worker.
+            let expired = job.deadline.is_some_and(|d| Instant::now() > d);
+            if expired {
+                st.jobs.remove(&job_id);
+                st.stats.expired += 1;
+            } else {
+                if let Some(meta) = st.jobs.get_mut(&job_id) {
                     meta.phase = Phase::Running;
-                    st.running += 1;
-                    INFLIGHT.record_max(st.running as u64);
                 }
-                // Disconnect raced the pop: the job is already gone.
-                None => continue,
+                st.stats.running += 1;
+                INFLIGHT.record_max(st.stats.running);
             }
+            (job_id, job, expired)
+        };
+        if expired {
+            EXPIRED.add(1);
+            let resp = Response::Expired {
+                job_id,
+                client_job_id: job.client_job_id,
+            };
+            reply(core, job.conn, &resp);
+            continue;
         }
         WAIT_NS.record_ns(job.submitted_at.elapsed().as_nanos() as f64);
         let exec_start = Instant::now();
@@ -796,13 +723,13 @@ fn worker_loop(core: &Arc<Core>) {
                 Some(key) => match gopim_cache::global().get_bytes(key) {
                     Some(bytes) => {
                         CACHE_SERVED.add(1);
-                        core.counters.cache_served.fetch_add(1, Ordering::Relaxed);
+                        core.state.lock().stats.cache_served += 1;
                         Ok(bytes.to_vec())
                     }
                     None => {
                         let r = core.handler.execute(&job.payload);
                         if let Ok(bytes) = &r {
-                            gopim_cache::global().store(key, std::sync::Arc::new(bytes.clone()));
+                            gopim_cache::global().store(key, Arc::new(bytes.clone()));
                         }
                         r
                     }
@@ -813,41 +740,39 @@ fn worker_loop(core: &Arc<Core>) {
         EXEC_NS.record_ns(exec_start.elapsed().as_nanos() as f64);
         let meta = {
             let mut st = core.state.lock();
-            st.running -= 1;
-            st.jobs.remove(&job_id)
+            st.stats.running -= 1;
+            // A job cancelled while running was answered `Cancelled`
+            // when the client asked; its late result is discarded.
+            let meta = st
+                .jobs
+                .remove(&job_id)
+                .filter(|m| m.phase != Phase::CancelRunning);
+            if meta.is_some() && result.is_ok() {
+                st.stats.completed += 1;
+            }
+            meta
         };
         let Some(meta) = meta else { continue };
-        if meta.phase == Phase::CancelRunning {
-            // The Cancelled reply went out when the client asked;
-            // the late result is discarded.
-            continue;
-        }
         LATENCY_NS.record_ns(job.submitted_at.elapsed().as_nanos() as f64);
-        match result {
+        let resp = match result {
             Ok(bytes) => {
                 COMPLETED.add(1);
-                core.counters.completed.fetch_add(1, Ordering::Relaxed);
-                core.send(
-                    meta.conn,
-                    &Response::Done {
-                        job_id,
-                        client_job_id: meta.client_job_id,
-                        cache_served: false,
-                        result: bytes,
-                    },
-                );
+                Response::Done {
+                    job_id,
+                    client_job_id: meta.client_job_id,
+                    cache_served: false,
+                    result: bytes,
+                }
             }
             Err(message) => {
                 FAILED.add(1);
-                core.send(
-                    meta.conn,
-                    &Response::Failed {
-                        job_id,
-                        client_job_id: meta.client_job_id,
-                        message,
-                    },
-                );
+                Response::Failed {
+                    job_id,
+                    client_job_id: meta.client_job_id,
+                    message,
+                }
             }
-        }
+        };
+        reply(core, meta.conn, &resp);
     }
 }

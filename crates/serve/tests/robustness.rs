@@ -12,12 +12,18 @@
 //! - a job whose **deadline** lapses in the queue is answered
 //!   `Expired` without executing;
 //! - **shutdown drains**: every job accepted before the drain gets its
-//!   terminal reply delivered before the sockets close.
+//!   terminal reply delivered before the sockets close, whether the
+//!   drain is asked for in process or by a protocol `Shutdown`;
+//! - a job's `Accepted` always reaches the wire before its terminal
+//!   reply, and only the connection that submitted a job may cancel it;
+//! - a client that **stops reading** is cut off by the write timeout
+//!   instead of holding a worker, its replies or shutdown hostage.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use gopim_serve::{
@@ -567,4 +573,245 @@ fn shutdown_drains_accepted_jobs_and_delivers_every_reply() {
     assert_eq!(stats.queued, 0);
     // New connections are refused outright once the server is down.
     assert!(Client::connect(&addr, "late").is_err());
+}
+
+#[test]
+fn only_the_submitting_connection_can_cancel_a_job() {
+    // One worker: the owner's blocker runs while its second job queues.
+    let (server, handler, addr) = server_with(ServerConfig {
+        max_queue: 4,
+        ..tiny_timeouts()
+    });
+    let mut owner = Client::connect(&addr, "owner").expect("connect owner");
+    owner
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    owner
+        .send(&Request::Submit {
+            client_job_id: 1,
+            deadline_ms: 0,
+            payload: job(200, b"blocker"),
+        })
+        .expect("submit blocker");
+    handler.wait_started(1);
+    owner
+        .send(&Request::Submit {
+            client_job_id: 2,
+            deadline_ms: 0,
+            payload: job(0, b"queued"),
+        })
+        .expect("submit queued");
+    let mut spill = Vec::new();
+    let queued_id = match take_or_recv(&mut owner, &mut spill, |r| {
+        matches!(
+            r,
+            Response::Accepted {
+                client_job_id: 2,
+                ..
+            }
+        )
+    }) {
+        Response::Accepted { job_id, .. } => job_id,
+        other => panic!("expected Accepted, got {other:?}"),
+    };
+
+    // Job ids are sequential, so another client can name this one; to
+    // that client it is unknown, and the owner's job is left alone.
+    let mut intruder = Client::connect(&addr, "intruder").expect("connect intruder");
+    intruder
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    intruder
+        .send(&Request::Cancel { job_id: queued_id })
+        .expect("cancel someone else's job");
+    match intruder.recv().expect("cancel reply") {
+        Response::Failed {
+            job_id, message, ..
+        } => {
+            assert_eq!(job_id, queued_id);
+            assert!(
+                message.contains("unknown or already completed"),
+                "unexpected: {message}"
+            );
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+
+    // The owner's job runs after the blocker and is still answered.
+    let reply = take_or_recv(&mut owner, &mut spill, |r| {
+        matches!(
+            r,
+            Response::Done {
+                client_job_id: 2,
+                ..
+            }
+        )
+    });
+    match reply {
+        Response::Done { result, .. } => assert_eq!(result, b"deueuq"),
+        other => panic!("expected Done, got {other:?}"),
+    }
+    server.shutdown();
+    assert_eq!(server.stats().cancelled, 0);
+    assert_eq!(handler.executed.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn every_accepted_reaches_the_wire_before_its_terminal_reply() {
+    // Instant jobs on two workers: each Done races its own Accepted.
+    const N: u64 = 64;
+    let (server, _, addr) = server_with(ServerConfig {
+        workers: 2,
+        max_queue: N as usize,
+        ..tiny_timeouts()
+    });
+    let mut client = Client::connect(&addr, "ordering").expect("connect");
+    client
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    for i in 0..N {
+        client
+            .send(&Request::Submit {
+                client_job_id: i,
+                deadline_ms: 0,
+                payload: job(0, &i.to_le_bytes()),
+            })
+            .expect("submit");
+    }
+    let mut accepted = BTreeSet::new();
+    let mut done = BTreeSet::new();
+    while done.len() < N as usize {
+        match client.recv().expect("raw frame") {
+            Response::Accepted { client_job_id, .. } => {
+                assert!(
+                    accepted.insert(client_job_id),
+                    "job {client_job_id} accepted twice"
+                );
+            }
+            Response::Done { client_job_id, .. } => {
+                assert!(
+                    accepted.contains(&client_job_id),
+                    "job {client_job_id}: Done arrived before its Accepted"
+                );
+                assert!(
+                    done.insert(client_job_id),
+                    "job {client_job_id} answered twice"
+                );
+            }
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_protocol_shutdown_drains_accepted_jobs_and_stops_the_server() {
+    let (server, _, addr) = server_with(ServerConfig {
+        max_queue: 4,
+        ..tiny_timeouts()
+    });
+    let server = Arc::new(server);
+    let mut client = Client::connect(&addr, "drainee").expect("connect");
+    client
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    client
+        .send(&Request::Submit {
+            client_job_id: 1,
+            deadline_ms: 0,
+            payload: job(200, b"slow"),
+        })
+        .expect("submit slow job");
+    match client.recv().expect("acceptance") {
+        Response::Accepted {
+            client_job_id: 1, ..
+        } => {}
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+
+    // Another connection asks the server to stop while the job runs.
+    let mut admin = Client::connect(&addr, "admin").expect("connect admin");
+    admin
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    admin.shutdown_server().expect("shutdown acknowledged");
+    let (tx, rx) = mpsc::channel();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            server.wait();
+            let _ = tx.send(());
+        });
+    }
+
+    // The accepted job is still answered, then the socket closes.
+    match client.recv().expect("drained reply") {
+        Response::Done {
+            client_job_id: 1,
+            result,
+            ..
+        } => assert_eq!(result, b"wols"),
+        other => panic!("expected Done, got {other:?}"),
+    }
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("Server::wait returns after a protocol Shutdown");
+    assert_eq!(server.stats().completed, 1);
+    assert!(Client::connect(&addr, "late").is_err());
+}
+
+#[test]
+fn a_client_that_stops_reading_is_cut_off_and_shutdown_still_returns() {
+    let (server, _, addr) = server_with(ServerConfig {
+        workers: 2,
+        max_queue: 256,
+        ..tiny_timeouts()
+    });
+    // The hog submits large echo jobs and never reads a reply: 100 MiB
+    // of replies, far more than the socket buffers hold. Its sends stop
+    // at the first error, which is the server cutting it off.
+    let mut hog = Client::connect(&addr, "hog").expect("connect hog");
+    let (sent_tx, sent_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let payload = job(0, &vec![0xA5; 512 * 1024]);
+        for i in 0..200 {
+            let submit = Request::Submit {
+                client_job_id: i,
+                deadline_ms: 0,
+                payload: payload.clone(),
+            };
+            if hog.send(&submit).is_err() {
+                break;
+            }
+        }
+        // Hand the socket back open: the hog never hangs up.
+        let _ = sent_tx.send(hog);
+    });
+
+    // Another connection's job still completes while the hog stalls.
+    let mut client = Client::connect(&addr, "bystander").expect("connect");
+    client
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("recv timeout");
+    let reply = client
+        .submit_blocking(1, 0, job(0, b"fine"), |_| {})
+        .expect("bystander submit");
+    assert!(matches!(reply, Response::Done { .. }), "got {reply:?}");
+    let hog = sent_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the hog's sends end");
+
+    // Shutdown returns although the hog has read nothing.
+    let server = Arc::new(server);
+    let (done_tx, done_rx) = mpsc::channel();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+    }
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("shutdown returns behind a client that stops reading");
+    drop(hog);
 }
