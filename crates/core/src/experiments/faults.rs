@@ -349,9 +349,9 @@ fn run_fresh(dataset: Dataset, config: &CampaignConfig) -> CampaignReport {
         // feature rows → frozen stand-in vertices.
         let mut dead = vec![false; mapping.num_groups()];
         for (i, groups) in stage_groups.iter().enumerate() {
-            for g in 0..*groups {
+            for (g, slot) in dead[..*groups].iter_mut().enumerate() {
                 if session.is_dead(i, g as u32) {
-                    dead[g] = true;
+                    *slot = true;
                 }
             }
         }

@@ -69,23 +69,22 @@ fn theta_sweep_fresh(
     seed: u64,
 ) -> Vec<ThetaAccuracyRow> {
     let (graph, labels) = dataset.numeric_graph(max_vertices, seed);
-    thetas
-        .iter()
-        .map(|&theta| {
-            let mut opts = train_options.clone();
-            opts.selective = if theta >= 1.0 {
-                None
-            } else {
-                Some(SelectivePolicy::with_theta(theta, 20))
-            };
-            let report = train_gcn(&graph, &labels, &opts);
-            ThetaAccuracyRow {
-                dataset: dataset.name().to_string(),
-                theta,
-                test_accuracy: report.test_accuracy,
-            }
-        })
-        .collect()
+    // One independent training per θ, fanned over the pool; the rows
+    // come back in θ order.
+    gopim_par::par_map(thetas, |&theta| {
+        let mut opts = train_options.clone();
+        opts.selective = if theta >= 1.0 {
+            None
+        } else {
+            Some(SelectivePolicy::with_theta(theta, 20))
+        };
+        let report = train_gcn(&graph, &labels, &opts);
+        ThetaAccuracyRow {
+            dataset: dataset.name().to_string(),
+            theta,
+            test_accuracy: report.test_accuracy,
+        }
+    })
 }
 
 /// One point of the micro-batch-size speedup sweep (Fig. 16(c)).

@@ -13,8 +13,10 @@ static MATMUL_NS: LazyHistogram = LazyHistogram::new("linalg.matmul.ns");
 /// task. The predictor's MLP runs tens of thousands of small products
 /// (its 32×10×256 and 10×32×256 layer products are 82 K multiply-adds,
 /// its 32×256×1 head 8 K), and a pool hand-off costs more than such a
-/// product. The 115 K-multiply-add products of small GCN training runs
-/// also stay whole: those runs are fanned over the pool already.
+/// product. A product inside a run that is itself a pool task (one of
+/// Table V's fanned-out GCN trainings) runs on that task's thread at
+/// any size: that is the pool's nesting rule (`gopim_par::Pool::scope`),
+/// not this threshold's job.
 const PAR_MIN_WORK: usize = 1 << 17;
 
 /// A dense `rows × cols` matrix of `f64`, stored row-major.

@@ -187,13 +187,11 @@ fn find_test_regions(src: &str, sig: &[Token]) -> Vec<(usize, usize)> {
         while m < sig.len() {
             match sig[m].text(src) {
                 "{" => braces += 1,
-                "}" => {
-                    if braces > 0 {
-                        braces -= 1;
-                        if braces == 0 {
-                            end = sig[m].end;
-                            break;
-                        }
+                "}" if braces > 0 => {
+                    braces -= 1;
+                    if braces == 0 {
+                        end = sig[m].end;
+                        break;
                     }
                 }
                 ";" if braces == 0 => {

@@ -255,14 +255,10 @@ impl Lexer<'_> {
             self.pos += 1;
             match c {
                 b'"' => return TokenKind::Str,
-                b'\\' => {
-                    // Skip the escaped byte; escape characters are
-                    // ASCII, and a quote can never be a UTF-8
-                    // continuation byte, so byte-wise scanning is safe.
-                    if self.pos < self.b.len() {
-                        self.pos += 1;
-                    }
-                }
+                // Skip the escaped byte; escape characters are ASCII,
+                // and a quote can never be a UTF-8 continuation byte,
+                // so byte-wise scanning is safe.
+                b'\\' if self.pos < self.b.len() => self.pos += 1,
                 _ => {}
             }
         }
@@ -286,11 +282,7 @@ impl Lexer<'_> {
                     self.pos += 1;
                     match c {
                         b'\'' => return TokenKind::Char,
-                        b'\\' => {
-                            if self.pos < self.b.len() {
-                                self.pos += 1;
-                            }
-                        }
+                        b'\\' if self.pos < self.b.len() => self.pos += 1,
                         b'\n' => {
                             // A newline inside a char literal means it
                             // was really something else; back off to

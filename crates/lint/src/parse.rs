@@ -642,20 +642,18 @@ fn parse_body(src: &str, sig: &[Token], open: usize, close: usize) -> Vec<Event>
                     );
                     events.push(Event::Close { offset: tok.start });
                 }
-                ";" => {
-                    if paren <= 0 && bracket <= 0 {
-                        end_closures(
-                            &mut events,
-                            &mut expr_closures,
-                            paren,
-                            bracket,
-                            brace,
-                            true,
-                            tok.start,
-                        );
-                        events.push(Event::StmtEnd { offset: tok.start });
-                        pending = Opener::Plain;
-                    }
+                ";" if paren <= 0 && bracket <= 0 => {
+                    end_closures(
+                        &mut events,
+                        &mut expr_closures,
+                        paren,
+                        bracket,
+                        brace,
+                        true,
+                        tok.start,
+                    );
+                    events.push(Event::StmtEnd { offset: tok.start });
+                    pending = Opener::Plain;
                 }
                 "(" => paren += 1,
                 ")" => {

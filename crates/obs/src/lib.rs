@@ -27,13 +27,11 @@
 //! [`env`] (`GOPIM_TRACE`, `GOPIM_PROFILE`, `GOPIM_PROFILE_FOLDED`,
 //! `GOPIM_MANIFEST`, `GOPIM_METRICS`, `GOPIM_LOG`).
 //!
-//! Binaries opt in with one line:
+//! Binaries opt in with one line at the top of `main`:
 //!
 //! ```no_run
-//! fn main() {
-//!     let _telemetry = gopim_obs::attach();
-//!     // ... the run; spans/metrics flush when _telemetry drops ...
-//! }
+//! let _telemetry = gopim_obs::attach();
+//! // ... the run; spans/metrics flush when _telemetry drops ...
 //! ```
 
 #![warn(missing_docs)]

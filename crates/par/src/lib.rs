@@ -217,7 +217,7 @@ where
             .collect()
     };
     // Ordered reduction: strictly left-to-right in chunk order.
-    accs.into_iter().fold(identity, |acc, a| reduce(acc, a))
+    accs.into_iter().fold(identity, reduce)
 }
 
 #[cfg(test)]
@@ -278,6 +278,69 @@ mod tests {
                 });
                 assert_eq!(got, serial, "chunk_len={chunk_len} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn nested_scopes_never_open_more_outer_items_than_threads() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = Pool::new(2);
+        let open = AtomicUsize::new(0);
+        let most_open = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..16).collect();
+        let sums = pool.install(|| {
+            par_map(&items, |&i| {
+                let now = open.fetch_add(1, Ordering::SeqCst) + 1;
+                most_open.fetch_max(now, Ordering::SeqCst);
+                let mut data = vec![0u64; 64];
+                pool.install(|| {
+                    par_chunks_mut(&mut data, 8, |c, chunk| {
+                        for (j, x) in chunk.iter_mut().enumerate() {
+                            *x = i * 64 + (c * 8 + j) as u64;
+                        }
+                    });
+                });
+                open.fetch_sub(1, Ordering::SeqCst);
+                data.iter().sum::<u64>()
+            })
+        });
+        let most_open = most_open.load(Ordering::SeqCst);
+        assert!(
+            most_open <= 2,
+            "{most_open} outer items were open at once on a 2-thread pool"
+        );
+        let want: Vec<u64> = items.iter().map(|&i| 64 * 64 * i + 63 * 32).collect();
+        assert_eq!(sums, want);
+    }
+
+    #[test]
+    fn nested_chunks_run_on_the_outer_tasks_thread_in_index_order() {
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+        let outer_pool = Pool::new(3);
+        // A different, wider pool: nesting follows the thread, not the
+        // pool a scope targets.
+        let inner_pool = Pool::new(4);
+        let items: Vec<usize> = (0..8).collect();
+        let runs: Vec<(ThreadId, Vec<(ThreadId, usize)>)> = outer_pool.install(|| {
+            par_map(&items, |_| {
+                let log = Mutex::new(Vec::new());
+                let mut data = vec![0u8; 40];
+                inner_pool.install(|| {
+                    par_chunks_mut(&mut data, 5, |c, _| {
+                        log.lock().unwrap().push((thread::current().id(), c));
+                    });
+                });
+                (thread::current().id(), log.into_inner().unwrap())
+            })
+        });
+        for (outer, log) in runs {
+            let order: Vec<usize> = log.iter().map(|&(_, c)| c).collect();
+            assert_eq!(order, (0..8).collect::<Vec<_>>(), "chunks ran out of order");
+            assert!(
+                log.iter().all(|&(t, _)| t == outer),
+                "a nested chunk left its outer task's thread"
+            );
         }
     }
 

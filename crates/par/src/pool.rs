@@ -6,8 +6,15 @@
 //! task has finished — that barrier is what makes the lifetime
 //! erasure of borrowed closures sound, and it means a pool never
 //! holds work for a caller that has already returned.
+//!
+//! Parallelism is flat: a scope opened by a thread that is already
+//! running a pool job runs its tasks inline, in index order, on that
+//! thread. Only a scope opened outside every job enqueues work, so the
+//! queue only ever holds top-level tasks and a waiting thread never
+//! starts a second heavy task (a whole GCN training, say) on top of
+//! the one it is inside.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,6 +30,7 @@ use gopim_obs::{DepCondvar, DepMutex};
 // trace contract is that the span set does not vary with GOPIM_THREADS.
 static SCOPE_TASKS: LazyCounter = LazyCounter::new("par.scope.tasks");
 static SCOPES: LazyCounter = LazyCounter::new("par.scope.calls");
+static INLINE_TASKS: LazyCounter = LazyCounter::new("par.scope.inline_tasks");
 static QUEUE_HIWATER: LazyGauge = LazyGauge::new("par.queue_depth.hiwater");
 static WORKER_BUSY_NS: LazyCounter = LazyCounter::new("par.worker.busy_ns");
 static WORKER_IDLE_NS: LazyCounter = LazyCounter::new("par.worker.idle_ns");
@@ -114,10 +122,24 @@ impl Pool {
     /// Tasks may borrow from the caller's stack. If any task panics,
     /// the scope still waits for the rest, then resumes the first
     /// panic on the caller.
+    ///
+    /// A scope opened while the calling thread runs a pool job (of
+    /// any pool) is nested: its tasks run inline, in index order, on
+    /// that thread, and a panic propagates directly, as in a
+    /// one-thread pool. Enqueued, the nested tasks would wait behind
+    /// the outer scope's queued siblings, and the thread waiting on
+    /// them would pop a whole sibling instead, until every outer task
+    /// could be open at once. Block sizes come from the pool width
+    /// either way, so nesting decides who runs a chunk, never what it
+    /// computes.
     pub fn scope<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         SCOPES.add(1);
         SCOPE_TASKS.add(tasks.len() as u64);
-        if self.inner.threads <= 1 || tasks.len() <= 1 {
+        let nested = IN_JOB.with(Cell::get);
+        // Added at every scope, zero or not, so the metrics report
+        // lists the counter whenever it lists `par.scope.tasks`.
+        INLINE_TASKS.add(if nested { tasks.len() as u64 } else { 0 });
+        if nested || self.inner.threads <= 1 || tasks.len() <= 1 {
             for task in tasks {
                 task();
             }
@@ -156,13 +178,14 @@ impl Pool {
             QUEUE_HIWATER.record_max(queue.len() as u64);
             self.inner.shared.work_ready.notify_all();
         }
-        // The caller participates: drain jobs (possibly from sibling
-        // scopes — work conservation) until this scope's tasks are
-        // done and the queue offers nothing else to help with.
+        // The caller participates: drain jobs (possibly from scopes
+        // other threads opened — work conservation) until this scope's
+        // tasks are done and the queue offers nothing else to help
+        // with.
         loop {
             let job = self.inner.shared.queue.lock().pop_front();
             match job {
-                Some(job) => job(),
+                Some(job) => run_job(job),
                 None => {
                     let mut remaining = state.remaining.lock();
                     while *remaining != 0 {
@@ -182,7 +205,8 @@ impl Pool {
     /// current thread for the duration of `f` (nested installs stack).
     /// This is how tests compare thread counts in-process: run the
     /// same kernel under `Pool::new(1)` and `Pool::new(8)` installs
-    /// and assert bit equality.
+    /// and assert bit equality. Inside a pool job the installed pool
+    /// still sets the block sizes, but its scopes run inline.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         OVERRIDE.with(|stack| stack.borrow_mut().push(self.clone()));
         let _guard = InstallGuard;
@@ -215,7 +239,7 @@ fn worker(shared: Arc<Shared>) {
             Some(job) => {
                 // lint:allow(no-nondeterministic-time): metrics-gated wall-clock telemetry, never feeds simulation state
                 let busy_from = gopim_obs::metrics_enabled().then(Instant::now);
-                job();
+                run_job(job);
                 if let Some(t) = busy_from {
                     WORKER_BUSY_NS.add(t.elapsed().as_nanos() as u64);
                 }
@@ -225,8 +249,27 @@ fn worker(shared: Arc<Shared>) {
     }
 }
 
+/// Runs one queued job with this thread marked as inside a job, so
+/// every scope the job opens runs inline (see [`Pool::scope`]).
+fn run_job(job: Job) {
+    let _guard = JobGuard(IN_JOB.with(|flag| flag.replace(true)));
+    job();
+}
+
+/// Restores the thread's previous "running a pool job" state on drop.
+struct JobGuard(bool);
+
+impl Drop for JobGuard {
+    fn drop(&mut self) {
+        IN_JOB.with(|flag| flag.set(self.0));
+    }
+}
+
 thread_local! {
     static OVERRIDE: RefCell<Vec<Pool>> = const { RefCell::new(Vec::new()) };
+    // Per thread, not per pool: a job of any pool makes every scope
+    // its thread opens nested, whichever pool that scope targets.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
 struct InstallGuard;

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything must pass offline, with no registry
-# access. Runs the format check, a release build, the full test suite
-# (unit + property + integration + golden snapshot diffs) twice — once
-# serial (GOPIM_THREADS=1) and once at the default pool size, so any
-# thread-count-dependent result fails the run — and makes sure every
-# bench target still compiles.
+# access. Runs the format check, a release build, clippy with warnings
+# as errors, the full test suite (unit + property + integration +
+# golden snapshot diffs) twice — once serial (GOPIM_THREADS=1) and once
+# at the default pool size, so any thread-count-dependent result fails
+# the run — and makes sure every bench target still compiles.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +17,9 @@ cargo fmt --all -- --check
 
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
+
+echo "== cargo clippy --offline (all targets, warnings are errors) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== gopim lint (serial + default legs) =="
 # The linter report must not depend on the pool size: run the ratchet

@@ -96,8 +96,9 @@ fn different_seeds_produce_different_workloads() {
 }
 
 /// The parallel runtime's contract: the pool size must not change a
-/// single bit anywhere. One snapshot covers all three hot paths —
-/// dense matmul, sparse propagation, and a fanned-out DES sweep —
+/// single bit anywhere. One snapshot covers the hot paths — dense
+/// matmul, sparse propagation, a fanned-out DES sweep, and GCN
+/// trainings fanned out with their kernels nested under the fan-out —
 /// computed under a 1-thread pool and an 8-thread pool.
 ///
 /// (`scripts/verify.sh` covers the environment side by running the
@@ -107,8 +108,11 @@ fn thread_count_never_changes_any_bits() {
     use gopim::runner::{run_system, RunConfig};
     use gopim::system::System;
     use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
+    use gopim_gcn::train::{train_gcn, TrainOptions};
+    use gopim_graph::generate::planted_partition;
     use gopim_graph::CsrGraph;
     use gopim_linalg::Matrix;
+    use gopim_mapping::SelectivePolicy;
     use gopim_par::Pool;
 
     let snapshot = || {
@@ -150,7 +154,31 @@ fn thread_count_never_changes_any_bits() {
             .iter()
             .map(|r| r.makespan_ns.to_bits())
             .collect();
-        (mm, prop, des)
+        // Three trainings fanned over the pool, one with ISU: every
+        // matmul and CSR gather inside them runs nested under the
+        // outer `par_map`. At 800 vertices the first layer's products
+        // (800·12·16 multiply-adds) are above matmul's one-task
+        // threshold, so they are split into row blocks too.
+        let dense = planted_partition(800, 4, 8.0, 4.0, 11);
+        let sparse = planted_partition(300, 3, 4.0, 4.0, 12);
+        let isu = TrainOptions {
+            selective: Some(SelectivePolicy::with_theta(0.5, 20)),
+            ..TrainOptions::quick_test()
+        };
+        let runs = [
+            (&dense, TrainOptions::quick_test()),
+            (&dense, isu),
+            (&sparse, TrainOptions::quick_test()),
+        ];
+        let train: Vec<[u64; 3]> = gopim_par::par_map(&runs, |((graph, labels), options)| {
+            let r = train_gcn(graph, labels, options);
+            [
+                r.train_accuracy.to_bits(),
+                r.test_accuracy.to_bits(),
+                r.final_loss.to_bits(),
+            ]
+        });
+        (mm, prop, des, train)
     };
     let serial = Pool::new(1).install(snapshot);
     let par = Pool::new(8).install(snapshot);
@@ -160,6 +188,10 @@ fn thread_count_never_changes_any_bits() {
         "propagation bits changed with thread count"
     );
     assert_eq!(serial.2, par.2, "DES sweep bits changed with thread count");
+    assert_eq!(
+        serial.3, par.3,
+        "nested GCN training bits changed with thread count"
+    );
 }
 
 /// The testkit's own PRNG: same seed ⇒ same stream, `mix_seed` keeps

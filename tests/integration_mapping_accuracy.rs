@@ -76,7 +76,7 @@ fn adaptive_theta_follows_the_papers_density_rule() {
     // ddi (avg degree 500.5) is dense; Cora (3.9) is sparse.
     assert_eq!(adaptive_theta(&Dataset::Ddi.profile(7)), DENSE_THETA);
     assert_eq!(adaptive_theta(&Dataset::Cora.profile(7)), SPARSE_THETA);
-    assert!(SPARSE_THETA > DENSE_THETA);
+    const { assert!(SPARSE_THETA > DENSE_THETA) };
 }
 
 #[test]
