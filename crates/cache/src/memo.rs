@@ -75,14 +75,19 @@ impl<T> Memo<T> {
         self.table.lock()
     }
 
-    /// Returns the memoized value for `key`, building it with `build`
-    /// on first use. When caching is disabled the build runs fresh and
-    /// nothing is retained.
-    pub fn get_or_build(&self, key: CacheKey, build: impl FnOnce() -> T) -> Arc<T> {
+    /// Returns the memoized value for the key `key` computes, building
+    /// it with `build` on first use. When caching is disabled the build
+    /// runs fresh, nothing is retained, and `key` is never called, so a
+    /// key that hashes a large input costs nothing then.
+    pub fn get_or_build(
+        &self,
+        key: impl FnOnce() -> CacheKey,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
         if !global().is_active() {
             return Arc::new(build());
         }
-        let k = key.as_u128();
+        let k = key().as_u128();
         if let Some(v) = self.lock().get(k).cloned() {
             MEMO_HITS.add(1);
             return v;
@@ -138,8 +143,8 @@ mod tests {
     fn second_lookup_shares_the_same_allocation() {
         static MEMO: Memo<Vec<u64>> = Memo::new(|v| 8 * v.len());
         let key = key_of("memo-test", &1u64);
-        let a = MEMO.get_or_build(key, || vec![1, 2, 3]);
-        let b = MEMO.get_or_build(key, || panic!("must be memoized"));
+        let a = MEMO.get_or_build(|| key, || vec![1, 2, 3]);
+        let b = MEMO.get_or_build(|| key, || panic!("must be memoized"));
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -148,7 +153,7 @@ mod tests {
         // Entries weighing 1/8 to 5/8 of the budget force eviction.
         static MEMO: Memo<Vec<u64>> = Memo::new(|v| v.len() * (MEMO_BUDGET_BYTES / 8));
         for i in 0..32u64 {
-            let _ = MEMO.get_or_build(key_of("memo-cap", &i), || vec![i; 1 + i as usize % 5]);
+            let _ = MEMO.get_or_build(|| key_of("memo-cap", &i), || vec![i; 1 + i as usize % 5]);
             assert!(MEMO.resident_bytes() <= MEMO_BUDGET_BYTES);
         }
         assert!(MEMO.len() < 32, "the byte bound never evicted");
@@ -163,13 +168,14 @@ mod tests {
         // find each value where the first left it.
         static MEMO: Memo<Vec<u32>> = Memo::new(|v| 4 * v.len());
         let first: Vec<Arc<Vec<u32>>> = (0..360u64)
-            .map(|i| MEMO.get_or_build(key_of("memo-working-set", &i), || vec![1; 4_267]))
+            .map(|i| MEMO.get_or_build(|| key_of("memo-working-set", &i), || vec![1; 4_267]))
             .collect();
         assert_eq!(MEMO.resident_bytes(), 360 * 17_068);
         for (i, a) in (0..360u64).zip(&first) {
-            let b = MEMO.get_or_build(key_of("memo-working-set", &i), || {
-                panic!("profile {i} was evicted")
-            });
+            let b = MEMO.get_or_build(
+                || key_of("memo-working-set", &i),
+                || panic!("profile {i} was evicted"),
+            );
             assert!(Arc::ptr_eq(a, &b));
         }
     }

@@ -7,7 +7,7 @@
 
 use gopim_graph::datasets::Dataset;
 
-use crate::runner::{run_systems, RunConfig};
+use crate::runner::{run_sweep, Cell, RunConfig};
 use crate::system::System;
 
 /// One bar of Fig. 4.
@@ -26,8 +26,11 @@ pub struct IdleRow {
 /// Runs the Fig. 4 analysis for the given datasets.
 pub fn run(config: &RunConfig, datasets: &[Dataset]) -> Vec<IdleRow> {
     // One independent simulation per dataset — fan them over the pool.
-    let configs: Vec<_> = datasets.iter().map(|&d| (d, System::SlimGnnLike)).collect();
-    let runs = run_systems(&configs, config);
+    let cells: Vec<Cell> = datasets
+        .iter()
+        .map(|&d| Cell::system(d, System::SlimGnnLike, config.clone()))
+        .collect();
+    let runs = run_sweep(&cells);
     let mut rows = Vec::new();
     for (&dataset, run) in datasets.iter().zip(&runs) {
         let num_forward = 2 * dataset.model().num_layers;

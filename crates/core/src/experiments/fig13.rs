@@ -4,7 +4,7 @@
 
 use gopim_graph::datasets::Dataset;
 
-use crate::runner::{run_systems, RunConfig, SystemRun};
+use crate::runner::{run_sweep, Cell, RunConfig, SystemRun};
 use crate::system::System;
 
 /// One (dataset, system) cell of Fig. 13.
@@ -27,16 +27,19 @@ pub struct ComparisonRow {
 /// Runs the Fig. 13 comparison over the given datasets and all six
 /// systems.
 pub fn run(config: &RunConfig, datasets: &[Dataset]) -> Vec<ComparisonRow> {
-    // One cached parallel sweep over the full (dataset, system) grid:
-    // `run_systems` dedups identical tuples, consults the run cache,
-    // and fans misses over the pool. Row order is unchanged — results
-    // come back in input order, bitwise identical to serial
-    // `run_system` calls.
-    let cells: Vec<(Dataset, System)> = datasets
+    // One cached sweep over the full (dataset, system) grid: each
+    // dataset's six systems share one profile, and the datasets fan
+    // over the pool. Results come back in input order, bitwise
+    // identical to serial `run_system` calls.
+    let cells: Vec<Cell> = datasets
         .iter()
-        .flat_map(|&d| System::ALL.iter().map(move |&s| (d, s)))
+        .flat_map(|&d| {
+            System::ALL
+                .iter()
+                .map(move |&s| Cell::system(d, s, config.clone()))
+        })
         .collect();
-    let all_runs = run_systems(&cells, config);
+    let all_runs = run_sweep(&cells);
     let mut rows = Vec::new();
     for (&dataset, runs) in datasets.iter().zip(all_runs.chunks(System::ALL.len())) {
         let runs: &[SystemRun] = runs;

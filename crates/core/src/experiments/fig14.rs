@@ -3,7 +3,7 @@
 
 use gopim_graph::datasets::Dataset;
 
-use crate::runner::{run_ablation_cached, RunConfig};
+use crate::runner::{run_sweep, Cell, RunConfig};
 use crate::system::Ablation;
 
 /// One (dataset, variant) cell of Fig. 14.
@@ -24,13 +24,17 @@ pub struct AblationRow {
 
 /// Runs the ablation over the given datasets.
 pub fn run(config: &RunConfig, datasets: &[Dataset]) -> Vec<AblationRow> {
-    // Every (dataset, variant) cell is an independent simulation; fan
-    // the whole cross product over the pool and regroup per dataset.
-    let cells: Vec<(Dataset, Ablation)> = datasets
+    // One sweep over the cross product; each dataset's four variants
+    // share one profile, and the results regroup per dataset.
+    let cells: Vec<Cell> = datasets
         .iter()
-        .flat_map(|&d| Ablation::ALL.iter().map(move |&v| (d, v)))
+        .flat_map(|&d| {
+            Ablation::ALL
+                .iter()
+                .map(move |&v| Cell::ablation(d, v, config.clone()))
+        })
         .collect();
-    let all_runs = gopim_par::par_map(&cells, |&(d, v)| run_ablation_cached(d, v, config));
+    let all_runs = run_sweep(&cells);
     let mut rows = Vec::new();
     for (&dataset, runs) in datasets.iter().zip(all_runs.chunks(Ablation::ALL.len())) {
         let serial_time = runs[0].makespan_ns;

@@ -8,7 +8,7 @@
 
 use gopim_graph::datasets::Dataset;
 
-use crate::runner::{run_ablation_cached, run_system_cached, RunConfig};
+use crate::runner::{run_sweep, Cell, RunConfig};
 use crate::system::{Ablation, System};
 
 /// One bar of Fig. 15.
@@ -30,24 +30,27 @@ pub fn run(
     dataset: Dataset,
     micro_batches: &[usize],
 ) -> Vec<IdleComparisonRow> {
-    // Each (micro-batch, system) pair is an independent simulation.
-    let cells: Vec<(usize, &str)> = micro_batches
+    let labels: Vec<(usize, &str)> = micro_batches
         .iter()
         .flat_map(|&b| [(b, "Naive"), (b, "GoPIM")])
         .collect();
-    let runs = gopim_par::par_map(&cells, |&(b, label)| {
-        let cfg = RunConfig {
-            micro_batch: b,
-            ..config.clone()
-        };
-        if label == "Naive" {
-            run_ablation_cached(dataset, Ablation::PlusPp, &cfg)
-        } else {
-            run_system_cached(dataset, System::Gopim, &cfg)
-        }
-    });
+    let cells: Vec<Cell> = labels
+        .iter()
+        .map(|&(b, label)| {
+            let cfg = RunConfig {
+                micro_batch: b,
+                ..config.clone()
+            };
+            if label == "Naive" {
+                Cell::ablation(dataset, Ablation::PlusPp, cfg)
+            } else {
+                Cell::system(dataset, System::Gopim, cfg)
+            }
+        })
+        .collect();
+    let runs = run_sweep(&cells);
     let mut rows = Vec::new();
-    for (&(b, label), run) in cells.iter().zip(&runs) {
+    for (&(b, label), run) in labels.iter().zip(&runs) {
         for (i, st) in run.schedule.stages.iter().enumerate() {
             rows.push(IdleComparisonRow {
                 micro_batch: b,

@@ -10,8 +10,7 @@ use gopim_gcn::train::{train_gcn, TrainOptions};
 use gopim_graph::datasets::Dataset;
 use gopim_mapping::SelectivePolicy;
 
-use crate::runner::{run_system_cached, RunConfig};
-use crate::system::System;
+use crate::runner::RunConfig;
 
 /// One point of the θ-accuracy sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,19 +97,19 @@ pub struct BatchSpeedupRow {
 
 /// Runs the micro-batch sweep.
 pub fn batch_sweep(config: &RunConfig, dataset: Dataset, sizes: &[usize]) -> Vec<BatchSpeedupRow> {
-    sizes
+    let configs: Vec<RunConfig> = sizes
         .iter()
-        .map(|&b| {
-            let cfg = RunConfig {
-                micro_batch: b,
-                ..config.clone()
-            };
-            let serial = run_system_cached(dataset, System::Serial, &cfg);
-            let gopim = run_system_cached(dataset, System::Gopim, &cfg);
-            BatchSpeedupRow {
-                micro_batch: b,
-                speedup: serial.makespan_ns / gopim.makespan_ns,
-            }
+        .map(|&b| RunConfig {
+            micro_batch: b,
+            ..config.clone()
+        })
+        .collect();
+    super::serial_and_gopim(dataset, &configs)
+        .chunks_exact(2)
+        .zip(sizes)
+        .map(|(pair, &b)| BatchSpeedupRow {
+            micro_batch: b,
+            speedup: pair[0].makespan_ns / pair[1].makespan_ns,
         })
         .collect()
 }

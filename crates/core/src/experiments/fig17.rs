@@ -12,7 +12,7 @@ use gopim_mapping::SelectivePolicy;
 use gopim_pipeline::latency::LatencyParams;
 use gopim_pipeline::{GcnWorkload, MappingKind, WorkloadOptions};
 
-use crate::runner::{run_system_cached, RunConfig};
+use crate::runner::RunConfig;
 use crate::system::System;
 
 /// One point of the feature-dimension sweep.
@@ -27,15 +27,15 @@ pub struct DimensionRow {
 /// Runs the Fig. 17(a) dimension sweep on a ddi-like graph.
 pub fn dimension_sweep(config: &RunConfig, dims: &[usize]) -> Vec<DimensionRow> {
     let stats = Dataset::Ddi.stats();
+    let profile = power_law_profile(
+        stats.num_vertices,
+        stats.avg_degree,
+        0.35,
+        0.92,
+        config.profile_seed,
+    );
     dims.iter()
         .map(|&dim| {
-            let profile = power_law_profile(
-                stats.num_vertices,
-                stats.avg_degree,
-                0.35,
-                0.92,
-                config.profile_seed,
-            );
             let model = ModelConfig {
                 num_layers: 2,
                 learning_rate: 0.005,
@@ -136,22 +136,21 @@ pub struct BudgetRow {
 pub fn budget_sweep(config: &RunConfig, dataset: Dataset, chips: &[f64]) -> Vec<BudgetRow> {
     use gopim_reram::spec::AcceleratorSpec;
     let one_chip = AcceleratorSpec::paper().total_crossbars();
-    // The dataset profile is shared through the runner's profile memo,
-    // so every budget point reuses one Arc'd profile and workload; the
-    // per-point results go through the run cache.
-    chips
+    // One sweep: every budget point runs on one profile of the
+    // dataset, built once even with the memos off.
+    let configs: Vec<RunConfig> = chips
         .iter()
-        .map(|&c| {
-            let cfg = RunConfig {
-                crossbar_budget: Some((c * one_chip as f64) as usize),
-                ..config.clone()
-            };
-            let serial = run_system_cached(dataset, System::Serial, &cfg);
-            let gopim = run_system_cached(dataset, System::Gopim, &cfg);
-            BudgetRow {
-                chips: c,
-                speedup: serial.makespan_ns / gopim.makespan_ns,
-            }
+        .map(|&c| RunConfig {
+            crossbar_budget: Some((c * one_chip as f64) as usize),
+            ..config.clone()
+        })
+        .collect();
+    super::serial_and_gopim(dataset, &configs)
+        .chunks_exact(2)
+        .zip(chips)
+        .map(|(pair, &c)| BudgetRow {
+            chips: c,
+            speedup: pair[0].makespan_ns / pair[1].makespan_ns,
         })
         .collect()
 }
@@ -169,11 +168,11 @@ pub struct ProductsRow {
 
 /// Runs Serial vs GoPIM on the full-size products dataset.
 pub fn products_run(config: &RunConfig) -> Vec<ProductsRow> {
-    // The big-graph case is where the cache pays most: a warm re-run
-    // (disk tier) skips the multi-million-vertex profile and workload
-    // builds entirely.
-    let serial = run_system_cached(Dataset::Products, System::Serial, config);
-    let gopim = run_system_cached(Dataset::Products, System::Gopim, config);
+    // Both systems run in turn on one products profile, built once
+    // even with the memos off; a warm re-run (disk tier) serves both
+    // cells and builds no profile at all.
+    let runs = super::serial_and_gopim(Dataset::Products, std::slice::from_ref(config));
+    let (serial, gopim) = (&runs[0], &runs[1]);
     vec![
         ProductsRow {
             system: "Serial".into(),

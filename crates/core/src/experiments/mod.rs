@@ -2,6 +2,11 @@
 //! index). Each returns typed rows; the `gopim-bench` binaries format
 //! and print them.
 
+use gopim_graph::datasets::Dataset;
+
+use crate::runner::{run_sweep, Cell, RunConfig, SystemRun};
+use crate::system::System;
+
 pub mod faults;
 pub mod fig04;
 pub mod fig06;
@@ -14,3 +19,19 @@ pub mod fig17;
 pub mod table05;
 pub mod table06;
 pub mod table07;
+
+/// Serial and GoPIM on `dataset` under each of `configs`, as one
+/// [`run_sweep`]: the runs alternate Serial, GoPIM, one pair per
+/// config, in order.
+fn serial_and_gopim(dataset: Dataset, configs: &[RunConfig]) -> Vec<SystemRun> {
+    let cells: Vec<Cell> = configs
+        .iter()
+        .flat_map(|c| {
+            [
+                Cell::system(dataset, System::Serial, c.clone()),
+                Cell::system(dataset, System::Gopim, c.clone()),
+            ]
+        })
+        .collect();
+    run_sweep(&cells)
+}

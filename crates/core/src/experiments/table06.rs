@@ -3,8 +3,7 @@
 
 use gopim_graph::datasets::Dataset;
 
-use crate::runner::{run_system_cached, RunConfig};
-use crate::system::System;
+use crate::runner::RunConfig;
 
 /// The allocation detail of one system on one dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +22,9 @@ pub struct AllocationDetail {
 
 /// Runs the Table VI analysis.
 pub fn run(config: &RunConfig, dataset: Dataset) -> Vec<AllocationDetail> {
-    [System::Serial, System::Gopim]
+    super::serial_and_gopim(dataset, std::slice::from_ref(config))
         .iter()
-        .map(|&system| {
-            let r = run_system_cached(dataset, system, config);
+        .map(|r| {
             let crossbars: Vec<usize> = r
                 .replicas
                 .iter()

@@ -7,7 +7,7 @@ use gopim_graph::datasets::Dataset;
 use gopim_predictor::dataset_gen::{generate_samples, samples_from_datasets};
 use gopim_predictor::TimePredictor;
 
-use crate::runner::{run_system, run_system_cached, Estimator, RunConfig};
+use crate::runner::{run_sweep, Cell, Estimator, RunConfig};
 use crate::system::System;
 
 /// One dataset row of Table VII.
@@ -83,16 +83,29 @@ fn run_fresh(
     let data = generate_samples(samples, seed)
         .concat(&samples_from_datasets(datasets, config.profile_seed));
     let predictor = TimePredictor::train_paper(&data, train_epochs, seed);
+    let ml_config = RunConfig {
+        estimator: Estimator::Ml(predictor),
+        ..config.clone()
+    };
+    // Three cells per dataset on one profile: Serial and GoPIM with
+    // exact stage times (cached), and GoPIM with the ML estimator
+    // (uncacheable, but it still shares the profile).
+    let cells: Vec<Cell> = datasets
+        .iter()
+        .flat_map(|&d| {
+            [
+                Cell::system(d, System::Serial, config.clone()),
+                Cell::system(d, System::Gopim, config.clone()),
+                Cell::system(d, System::Gopim, ml_config.clone()),
+            ]
+        })
+        .collect();
+    let runs = run_sweep(&cells);
     datasets
         .iter()
-        .map(|&dataset| {
-            let serial = run_system_cached(dataset, System::Serial, config);
-            let prof = run_system_cached(dataset, System::Gopim, config);
-            let ml_config = RunConfig {
-                estimator: Estimator::Ml(predictor.clone()),
-                ..config.clone()
-            };
-            let ml = run_system(dataset, System::Gopim, &ml_config);
+        .zip(runs.chunks_exact(3))
+        .map(|(&dataset, runs)| {
+            let (serial, prof, ml) = (&runs[0], &runs[1], &runs[2]);
             let profiling_speedup = serial.makespan_ns / prof.makespan_ns;
             let ml_speedup = serial.makespan_ns / ml.makespan_ns;
             PredictorRow {

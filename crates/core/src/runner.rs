@@ -2,16 +2,20 @@
 //!
 //! # Incremental sweeps
 //!
-//! Sweep-level entry points ([`run_systems`], [`run_system_cached`],
-//! [`run_ablation_cached`]) consult the canonical-hash run cache
-//! (`gopim-cache`) before simulating: identical request tuples within
-//! one sweep are deduplicated, repeated requests across experiments hit
-//! the in-process tier, and with `GOPIM_CACHE=dir` whole re-runs hit
-//! the disk tier. Intermediates — degree profiles, built workloads,
-//! allocator inputs — are memoized behind `Arc`s so sweep points that
-//! differ only downstream share one copy. Everything is a pure
-//! performance layer: a cache hit returns bytes a fresh simulation
-//! would produce bitwise (pinned by `tests/cache_differential.rs`).
+//! Sweep-level entry points ([`run_sweep`], [`run_systems`],
+//! [`run_system_cached`], [`run_ablation_cached`]) consult the
+//! canonical-hash run cache (`gopim-cache`) before simulating:
+//! identical request tuples within one sweep are deduplicated, repeated
+//! requests across experiments hit the in-process tier, and with
+//! `GOPIM_CACHE=dir` whole re-runs hit the disk tier. A sweep runs the
+//! cells that share a `(dataset, profile seed)` as one group on one
+//! degree profile, built on the group's first cache miss and dropped
+//! when the group ends. Intermediates — degree profiles, built
+//! workloads, allocator inputs — are also memoized behind `Arc`s so
+//! requests that differ only downstream share one copy across calls.
+//! Everything is a pure performance layer: a cache hit returns bytes a
+//! fresh simulation would produce bitwise (pinned by
+//! `tests/cache_differential.rs`).
 //! The singular [`run_system`] stays uncached so span-level tooling
 //! (and the trace-determinism tests) always observe a real simulation;
 //! ML-estimator runs bypass the cache entirely because a trained
@@ -42,6 +46,7 @@ use crate::system::{Ablation, System};
 
 static RUNS: LazyCounter = LazyCounter::new("runner.system_runs");
 static SWEEP_DEDUP: LazyCounter = LazyCounter::new("cache.sweep_dedup");
+static PROFILES_BUILT: LazyCounter = LazyCounter::new("runner.profiles_built");
 
 /// Each memo is bounded by the heap bytes of its entries, which span
 /// three orders of magnitude: a ddi profile is 17 KB and a products
@@ -344,31 +349,42 @@ fn pipeline_options_for(system: System, config: &RunConfig) -> PipelineOptions {
 }
 
 /// The memoized degree profile of a dataset (shared `Arc` across every
-/// sweep point requesting the same `(dataset, seed)`).
+/// request for the same `(dataset, seed)` while the memo holds it).
+/// Every build counts in `runner.profiles_built`.
 pub(crate) fn dataset_profile(dataset: Dataset, seed: u64) -> Arc<DegreeProfile> {
-    let key = gopim_cache::key_of("runner.profile/v1", &(dataset, seed));
-    PROFILE_MEMO.get_or_build(key, || dataset.profile(seed))
+    PROFILE_MEMO.get_or_build(
+        || gopim_cache::key_of("runner.profile/v1", &(dataset, seed)),
+        || {
+            PROFILES_BUILT.add(1);
+            dataset.profile(seed)
+        },
+    )
 }
 
-/// The memoized workload for `(name, profile, model, options)`; the
+/// The memoized workload for `(name, profile, model, options)`. The
 /// returned key canonically covers every build input, so it doubles as
-/// the provenance component of downstream allocator-input keys.
+/// the provenance component of downstream allocator-input keys. It
+/// hashes the whole profile, so it is computed only when the memo
+/// reads it and is `None` when the memos are off (`GOPIM_NO_CACHE`).
 fn memo_workload(
     name: &str,
     profile: &DegreeProfile,
     model: &gopim_graph::datasets::ModelConfig,
     options: &WorkloadOptions,
-) -> (CacheKey, Arc<GcnWorkload>) {
-    let mut h = CanonicalHasher::new();
-    h.write_tag("runner.workload/v1");
-    h.write_str(name);
-    profile.canonical_hash(&mut h);
-    model.canonical_hash(&mut h);
-    options.canonical_hash(&mut h);
-    let key = h.finish();
-    let workload = WORKLOAD_MEMO.get_or_build(key, || {
-        GcnWorkload::build_custom(name, profile, model, options)
-    });
+) -> (Option<CacheKey>, Arc<GcnWorkload>) {
+    let mut key = None;
+    let workload = WORKLOAD_MEMO.get_or_build(
+        || {
+            let mut h = CanonicalHasher::new();
+            h.write_tag("runner.workload/v1");
+            h.write_str(name);
+            profile.canonical_hash(&mut h);
+            model.canonical_hash(&mut h);
+            options.canonical_hash(&mut h);
+            *key.insert(h.finish())
+        },
+        || GcnWorkload::build_custom(name, profile, model, options),
+    );
     (key, workload)
 }
 
@@ -395,7 +411,7 @@ pub fn run_key(dataset: Dataset, system: System, config: &RunConfig) -> Option<C
 /// Runs one system on one dataset end to end.
 ///
 /// Always simulates (the cache-aware entry points are
-/// [`run_system_cached`] and [`run_systems`]): span-level tooling and
+/// [`run_system_cached`] and [`run_sweep`]): span-level tooling and
 /// the trace-determinism tests rely on this function emitting a real
 /// `runner.run_system` span every call.
 pub fn run_system(dataset: Dataset, system: System, config: &RunConfig) -> SystemRun {
@@ -408,27 +424,109 @@ pub fn run_system(dataset: Dataset, system: System, config: &RunConfig) -> Syste
 /// earlier one — decodes the stored result instead of simulating.
 /// Cached and fresh results are bitwise identical.
 pub fn run_system_cached(dataset: Dataset, system: System, config: &RunConfig) -> SystemRun {
-    match run_key(dataset, system, config) {
-        Some(key) => {
-            gopim_cache::global().get_or_compute(key, || run_system(dataset, system, config))
-        }
-        None => run_system(dataset, system, config),
+    cached(run_key(dataset, system, config), || {
+        run_system(dataset, system, config)
+    })
+}
+
+/// `run` behind the run cache under `key`; uncacheable (`None`) runs
+/// always compute.
+fn cached(key: Option<CacheKey>, run: impl FnOnce() -> SystemRun) -> SystemRun {
+    match key {
+        Some(key) => gopim_cache::global().get_or_compute(key, run),
+        None => run(),
     }
 }
 
-/// Runs several `(dataset, system)` configurations, fanning the
-/// independent simulations across the `gopim-par` pool. Results come
-/// back in input order and each run is bitwise identical to a
-/// standalone [`run_system`] call. Identical tuples are simulated once
-/// (sweep dedup), and every unique tuple consults the run cache before
-/// simulating.
-pub fn run_systems(configs: &[(Dataset, System)], config: &RunConfig) -> Vec<SystemRun> {
-    // Dedup identical requests by canonical key; uncacheable runs
-    // (`None` key) always simulate individually.
-    let keys: Vec<Option<CacheKey>> = configs
-        .iter()
-        .map(|&(d, s)| run_key(d, s, config))
-        .collect();
+/// What a sweep cell runs: one of the six systems, or a Fig. 14
+/// ablation variant.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    System(System),
+    Ablation(Ablation),
+}
+
+impl Variant {
+    /// The canonical request key of running `self` on `dataset`;
+    /// `None` when uncacheable. The ablation's `Serial`/`Full` ends
+    /// run as `System::Serial`/`System::Gopim` and share their keys.
+    fn key(self, dataset: Dataset, config: &RunConfig) -> Option<CacheKey> {
+        match self {
+            Variant::System(s) => run_key(dataset, s, config),
+            Variant::Ablation(Ablation::Serial) => run_key(dataset, System::Serial, config),
+            Variant::Ablation(Ablation::Full) => run_key(dataset, System::Gopim, config),
+            Variant::Ablation(v) => ablation_key(dataset, v, config),
+        }
+    }
+}
+
+/// One cell of a [`run_sweep`]: a dataset, the system or ablation
+/// variant to run on it, and the cell's own run configuration.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    dataset: Dataset,
+    variant: Variant,
+    config: RunConfig,
+}
+
+impl Cell {
+    /// A [`run_system`] cell.
+    pub fn system(dataset: Dataset, system: System, config: RunConfig) -> Cell {
+        Cell {
+            dataset,
+            variant: Variant::System(system),
+            config,
+        }
+    }
+
+    /// A [`run_ablation`] cell. Its `Serial`/`Full` variants share the
+    /// `System::Serial`/`System::Gopim` cells' cache keys, so a sweep
+    /// holding both dedups them.
+    pub fn ablation(dataset: Dataset, variant: Ablation, config: RunConfig) -> Cell {
+        Cell {
+            dataset,
+            variant: Variant::Ablation(variant),
+            config,
+        }
+    }
+
+    fn key(&self) -> Option<CacheKey> {
+        self.variant.key(self.dataset, &self.config)
+    }
+
+    /// Runs the cell on its dataset's degree profile.
+    fn run_on_profile(&self, profile: &DegreeProfile) -> SystemRun {
+        match self.variant {
+            Variant::System(s) => run_system_on_profile(self.dataset, profile, s, &self.config),
+            Variant::Ablation(v) => run_ablation_on_profile(self.dataset, profile, v, &self.config),
+        }
+    }
+}
+
+/// The unique cells of a sweep that run on one degree profile.
+struct ProfileGroup {
+    dataset: Dataset,
+    seed: u64,
+    /// The members' slots among the unique cells, in input order.
+    slots: Vec<usize>,
+}
+
+/// Runs a sweep of cells, each bitwise identical to a standalone
+/// [`run_system`] or [`run_ablation`] call, and returns the results in
+/// input order. Identical requests (equal canonical keys) are run once
+/// (`cache.sweep_dedup` counts the rest), and every unique cell
+/// consults the run cache before simulating.
+///
+/// The unique cells are grouped by `(dataset, profile seed)`, and each
+/// group is one `gopim-par` task that runs its cells in input order on
+/// one degree profile. The profile is built on the group's first cache
+/// miss — a group whose cells all hit builds none — and dropped when
+/// the group ends, so no profile outlives its group and under
+/// `GOPIM_NO_CACHE=1` nothing is reused across calls.
+pub fn run_sweep(cells: &[Cell]) -> Vec<SystemRun> {
+    // Dedup identical requests by canonical key; uncacheable cells
+    // (`None` key) always run individually.
+    let keys: Vec<Option<CacheKey>> = cells.iter().map(Cell::key).collect();
     if gopim_obs::manifest_enabled() {
         // Fold the sweep's canonical cell keys into one configuration
         // hash for the run manifest, so two manifests are comparable
@@ -442,11 +540,11 @@ pub fn run_systems(configs: &[(Dataset, System)], config: &RunConfig) -> Vec<Sys
             "run.config_hash",
             format!("{:032x}", h.finish().as_u128()),
         );
-        gopim_obs::manifest::record_u64("run.sweep_cells", configs.len() as u64);
+        gopim_obs::manifest::record_u64("run.sweep_cells", cells.len() as u64);
     }
     let mut first_slot: BTreeMap<u128, usize> = BTreeMap::new();
     let mut unique: Vec<usize> = Vec::new();
-    let mut slots: Vec<usize> = Vec::with_capacity(configs.len());
+    let mut slots: Vec<usize> = Vec::with_capacity(cells.len());
     for (i, key) in keys.iter().enumerate() {
         let slot = match key {
             Some(k) => *first_slot.entry(k.as_u128()).or_insert_with(|| {
@@ -460,13 +558,54 @@ pub fn run_systems(configs: &[(Dataset, System)], config: &RunConfig) -> Vec<Sys
         };
         slots.push(slot);
     }
-    if unique.len() < configs.len() {
-        SWEEP_DEDUP.add((configs.len() - unique.len()) as u64);
+    if unique.len() < cells.len() {
+        SWEEP_DEDUP.add((cells.len() - unique.len()) as u64);
     }
-    let runs = gopim_par::par_map(&unique, |&i| {
-        run_system_cached(configs[i].0, configs[i].1, config)
+    // Groups in order of first appearance.
+    let mut groups: Vec<ProfileGroup> = Vec::new();
+    for (slot, &i) in unique.iter().enumerate() {
+        let (dataset, seed) = (cells[i].dataset, cells[i].config.profile_seed);
+        match groups
+            .iter_mut()
+            .find(|g| g.dataset == dataset && g.seed == seed)
+        {
+            Some(group) => group.slots.push(slot),
+            None => groups.push(ProfileGroup {
+                dataset,
+                seed,
+                slots: vec![slot],
+            }),
+        }
+    }
+    let group_runs = gopim_par::par_map(&groups, |group| {
+        let mut profile: Option<Arc<DegreeProfile>> = None;
+        group
+            .slots
+            .iter()
+            .map(|&slot| {
+                let i = unique[slot];
+                let run = cached(keys[i], || {
+                    let profile =
+                        profile.get_or_insert_with(|| dataset_profile(group.dataset, group.seed));
+                    cells[i].run_on_profile(profile)
+                });
+                (slot, run)
+            })
+            .collect::<Vec<_>>()
     });
-    slots.iter().map(|&s| runs[s].clone()).collect()
+    let mut runs: Vec<(usize, SystemRun)> = group_runs.into_iter().flatten().collect();
+    runs.sort_by_key(|&(slot, _)| slot);
+    slots.iter().map(|&s| runs[s].1.clone()).collect()
+}
+
+/// Runs several `(dataset, system)` configurations under one shared
+/// config: a [`run_sweep`] of [`Cell::system`] cells.
+pub fn run_systems(configs: &[(Dataset, System)], config: &RunConfig) -> Vec<SystemRun> {
+    let cells: Vec<Cell> = configs
+        .iter()
+        .map(|&(d, s)| Cell::system(d, s, config.clone()))
+        .collect();
+    run_sweep(&cells)
 }
 
 /// Builds the workload a system would run on a dataset (for callers
@@ -555,7 +694,7 @@ pub fn run_system_on_profile(
 fn finish_run(
     name: &str,
     profile: &DegreeProfile,
-    workload_key: CacheKey,
+    workload_key: Option<CacheKey>,
     workload: &GcnWorkload,
     system: System,
     config: &RunConfig,
@@ -575,18 +714,21 @@ fn finish_run(
     // of (workload, avg_degree, budget), all covered by the workload
     // key — share one Arc across every system that derives the same
     // input (Serial/ReGraphX/GoPIM-Vanilla on one dataset, for one).
-    let input: Arc<AllocInput> = match config.estimator {
-        Estimator::Exact => {
-            let mut h = CanonicalHasher::new();
-            h.write_tag("runner.alloc_input/v1");
-            workload_key.as_u128().canonical_hash(&mut h);
-            h.write_f64(profile.avg_degree());
-            h.write_usize(budget);
-            ALLOC_INPUT_MEMO.get_or_build(h.finish(), || {
-                alloc_input(workload, profile.avg_degree(), budget, &config.estimator)
-            })
-        }
-        Estimator::Ml(_) => Arc::new(alloc_input(
+    // The workload key is `None` when the memos are off, and then the
+    // input is built fresh as the memo would.
+    let input: Arc<AllocInput> = match (&config.estimator, workload_key) {
+        (Estimator::Exact, Some(workload_key)) => ALLOC_INPUT_MEMO.get_or_build(
+            || {
+                let mut h = CanonicalHasher::new();
+                h.write_tag("runner.alloc_input/v1");
+                workload_key.as_u128().canonical_hash(&mut h);
+                h.write_f64(profile.avg_degree());
+                h.write_usize(budget);
+                h.finish()
+            },
+            || alloc_input(workload, profile.avg_degree(), budget, &config.estimator),
+        ),
+        _ => Arc::new(alloc_input(
             workload,
             profile.avg_degree(),
             budget,
@@ -649,24 +791,28 @@ pub fn ablation_key(dataset: Dataset, variant: Ablation, config: &RunConfig) -> 
 /// with `System::Serial`/`System::Gopim`); the pipeline-only variants
 /// get their own keys.
 pub fn run_ablation_cached(dataset: Dataset, variant: Ablation, config: &RunConfig) -> SystemRun {
-    match variant {
-        Ablation::Serial => run_system_cached(dataset, System::Serial, config),
-        Ablation::Full => run_system_cached(dataset, System::Gopim, config),
-        Ablation::PlusPp | Ablation::PlusIsu => match ablation_key(dataset, variant, config) {
-            Some(key) => {
-                gopim_cache::global().get_or_compute(key, || run_ablation(dataset, variant, config))
-            }
-            None => run_ablation(dataset, variant, config),
-        },
-    }
+    cached(Variant::Ablation(variant).key(dataset, config), || {
+        run_ablation(dataset, variant, config)
+    })
 }
 
 /// Runs one Fig. 14 ablation variant on a dataset.
 pub fn run_ablation(dataset: Dataset, variant: Ablation, config: &RunConfig) -> SystemRun {
     let profile = dataset_profile(dataset, config.profile_seed);
+    run_ablation_on_profile(dataset, &profile, variant, config)
+}
+
+/// Runs one Fig. 14 ablation variant on an explicit degree profile:
+/// the twin of [`run_system_on_profile`] that [`run_sweep`] uses.
+pub fn run_ablation_on_profile(
+    dataset: Dataset,
+    profile: &DegreeProfile,
+    variant: Ablation,
+    config: &RunConfig,
+) -> SystemRun {
     match variant {
-        Ablation::Serial => run_system(dataset, System::Serial, config),
-        Ablation::Full => run_system(dataset, System::Gopim, config),
+        Ablation::Serial => run_system_on_profile(dataset, profile, System::Serial, config),
+        Ablation::Full => run_system_on_profile(dataset, profile, System::Gopim, config),
         Ablation::PlusPp | Ablation::PlusIsu => {
             let options = WorkloadOptions {
                 micro_batch: config.micro_batch,
@@ -676,13 +822,13 @@ pub fn run_ablation(dataset: Dataset, variant: Ablation, config: &RunConfig) -> 
                     MappingKind::IndexBased
                 },
                 selective: (variant == Ablation::PlusIsu)
-                    .then(|| SelectivePolicy::adaptive(&profile)),
+                    .then(|| SelectivePolicy::adaptive(profile)),
                 accounting: UpdateAccounting::Amortized,
                 params: LatencyParams::paper(),
                 repeated_load_rows_per_edge: 0.0,
                 profile_seed: config.profile_seed,
             };
-            let (_, workload) = memo_workload(dataset.name(), &profile, &dataset.model(), &options);
+            let (_, workload) = memo_workload(dataset.name(), profile, &dataset.model(), &options);
             // Pipelining without replicas: force a serial plan.
             let spec = AcceleratorSpec::paper();
             let plan = AllocPlan::serial(workload.stages().len());

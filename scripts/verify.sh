@@ -138,6 +138,22 @@ awk '$1 == "counter" && $2 == "cache.disk_hits" && $3 > 0 { found = 1 }
      END { exit !found }' "$SMOKE_DIR/cache_warm.err" \
     || { echo "verify: warm fig04 run never touched the disk tier"; exit 1; }
 
+echo "== cold sweep smoke (fig14 --quick, GOPIM_NO_CACHE=1) =="
+# A sweep runs the cells that share a (dataset, seed) on one degree
+# profile even with the memos off: the cold run must print the plain
+# run's stdout byte for byte and build exactly one profile for ddi's
+# four ablation cells.
+cargo run --release --offline -p gopim-bench --bin fig14 -- --quick \
+    > "$SMOKE_DIR/fig14_plain.out"
+GOPIM_NO_CACHE=1 GOPIM_METRICS=1 \
+    cargo run --release --offline -p gopim-bench --bin fig14 -- --quick \
+    > "$SMOKE_DIR/fig14_cold.out" 2> "$SMOKE_DIR/fig14_cold.err"
+diff -u "$SMOKE_DIR/fig14_plain.out" "$SMOKE_DIR/fig14_cold.out" \
+    || { echo "verify: GOPIM_NO_CACHE changed fig14 stdout"; exit 1; }
+awk '$1 == "counter" && $2 == "runner.profiles_built" { n = $3 }
+     END { exit !(n == 1) }' "$SMOKE_DIR/fig14_cold.err" \
+    || { echo "verify: cold fig14 did not build exactly one profile"; exit 1; }
+
 if ! flag_on "${GOPIM_NO_SERVE:-}"; then
     echo "== serve smoke (loadgen --quick; skip with GOPIM_NO_SERVE=1) =="
     # The job server must survive a mixed burst over the wire protocol:
