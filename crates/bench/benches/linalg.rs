@@ -50,5 +50,10 @@ fn main() {
             a.matmul_into(&b, &mut out)
         });
     }
+    // The GCN's hidden-layer weight gradient `Xᵀ·δ` as the backward
+    // pass forms it, from the untransposed 1200 × 48 operands.
+    let x = filled(1200, 48);
+    let delta = filled(1200, 48);
+    runner.bench("matmul_tn/48x1200x48", || x.matmul_tn(&delta));
     runner.finish();
 }

@@ -39,17 +39,56 @@ pub trait Propagation {
         out.as_mut_slice().copy_from_slice(r.as_slice());
     }
 
-    /// Computes `Pᵀ · X` into `out`, overwriting its contents (see
-    /// [`Propagation::propagate_into`]).
+    /// Computes the listed rows of `Pᵀ · X` into `out` and writes
+    /// every other row of `out` as `+0.0`, overwriting all of it. The
+    /// backward pass asks only for the rows of fresh vertices: a stale
+    /// vertex's combined features are a crossbar-resident constant,
+    /// so no gradient reaches them. The default computes the whole
+    /// product and then zeroes the unlisted rows.
     ///
     /// # Panics
     ///
-    /// Panics if `out`'s shape differs from the result's.
-    fn propagate_transpose_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
+    /// Panics if `out`'s shape differs from the result's or `rows` is
+    /// not strictly ascending within the vertex range.
+    fn propagate_transpose_rows_into(
+        &self,
+        graph: &CsrGraph,
+        x: &Matrix,
+        rows: &[usize],
+        out: &mut Matrix,
+    ) {
         let r = self.propagate_transpose(graph, x);
         assert_eq!(out.shape(), r.shape(), "propagate output shape mismatch");
         out.as_mut_slice().copy_from_slice(r.as_slice());
+        zero_unlisted_rows(out, rows);
     }
+}
+
+/// Writes `+0.0` over every row of `m` not in `rows` (strictly
+/// ascending).
+///
+/// # Panics
+///
+/// Panics if `rows` is not strictly ascending within `0..m.rows()`.
+pub(crate) fn zero_unlisted_rows(m: &mut Matrix, rows: &[usize]) {
+    assert_row_list(rows, m.rows());
+    for v in unlisted(rows, m.rows()) {
+        m.row_mut(v).fill(0.0);
+    }
+}
+
+/// Asserts that `rows` is strictly ascending and below `n`.
+fn assert_row_list(rows: &[usize], n: usize) {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < n),
+        "row list must be strictly ascending and below {n}"
+    );
+}
+
+/// The rows of `0..n` not in `rows` (strictly ascending), ascending.
+pub(crate) fn unlisted(rows: &[usize], n: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut listed = rows.iter().peekable();
+    (0..n).filter(move |&v| listed.next_if_eq(&&v).is_none())
 }
 
 /// Precomputed normalization coefficients for a graph.
@@ -87,14 +126,31 @@ impl NormalizedAdjacency {
     /// Panics if `x.rows() != graph.num_vertices()` or `out`'s shape
     /// differs from `x`'s.
     pub fn apply_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
+        let all: Vec<usize> = (0..graph.num_vertices()).collect();
+        self.apply_rows_into(graph, x, &all, out);
+    }
+
+    /// The listed rows of `Â · X` written into `out`, every other row
+    /// written as `+0.0` (the row-sparse form of
+    /// [`NormalizedAdjacency::apply_into`]; a listed row has the bits
+    /// the full product gives it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.rows() != graph.num_vertices()`, `out`'s shape
+    /// differs from `x`'s, or `rows` is not strictly ascending within
+    /// the vertex range.
+    pub fn apply_rows_into(&self, graph: &CsrGraph, x: &Matrix, rows: &[usize], out: &mut Matrix) {
         let n = graph.num_vertices();
         assert_eq!(x.rows(), n, "one feature row per vertex");
         assert_eq!(out.shape(), x.shape(), "propagate output shape mismatch");
+        assert_row_list(rows, n);
         let d = x.cols();
         let _span = gopim_obs::span!("gcn.aggregate.normalized", n, d);
         AGG_CALLS.add(1);
-        AGG_EDGES.add(graph.num_edges() as u64);
-        out.as_mut_slice().fill(0.0);
+        // Each undirected edge is two CSR entries, so a full pass adds
+        // `num_edges`.
+        AGG_EDGES.add(rows.iter().map(|&v| graph.degree(v) as u64).sum::<u64>() / 2);
         if n == 0 || d == 0 {
             return;
         }
@@ -104,13 +160,19 @@ impl NormalizedAdjacency {
         // CSR order) is fixed, so the bits match the serial loop at
         // every thread count; the whole per-vertex gather goes through
         // `gopim_linalg::simd::gather_row`, a register-tile kernel
-        // pinned bit-identical to its scalar reference.
+        // pinned bit-identical to its scalar reference. The gather
+        // overwrites its row, so only unlisted rows are zero-filled.
         let block_rows = n.div_ceil(gopim_par::num_threads() * 4).clamp(1, n);
         let xs = x.as_slice();
         gopim_par::par_chunks_mut(out.as_mut_slice(), block_rows * d, |block, chunk| {
             let v0 = block * block_rows;
+            let mut listed = rows[rows.partition_point(|&r| r < v0)..].iter().peekable();
             for (dv, out_row) in chunk.chunks_mut(d).enumerate() {
                 let v = v0 + dv;
+                if listed.next_if_eq(&&v).is_none() {
+                    out_row.fill(0.0);
+                    continue;
+                }
                 let sv = self.inv_sqrt_deg[v];
                 gopim_linalg::simd::gather_row(
                     out_row,
@@ -139,8 +201,14 @@ impl Propagation for NormalizedAdjacency {
     }
 
     // Symmetric: the transpose is the same operator.
-    fn propagate_transpose_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
-        self.apply_into(graph, x, out);
+    fn propagate_transpose_rows_into(
+        &self,
+        graph: &CsrGraph,
+        x: &Matrix,
+        rows: &[usize],
+        out: &mut Matrix,
+    ) {
+        self.apply_rows_into(graph, x, rows, out);
     }
 }
 
@@ -173,7 +241,6 @@ impl Propagation for MeanAggregator {
         let _span = gopim_obs::span!("gcn.aggregate.mean", n, d);
         AGG_CALLS.add(1);
         AGG_EDGES.add(graph.num_edges() as u64);
-        out.as_mut_slice().fill(0.0);
         if n == 0 || d == 0 {
             return;
         }
@@ -198,19 +265,15 @@ impl Propagation for MeanAggregator {
         });
     }
 
+    // The scatter writes each row from many source vertices, so it
+    // cannot skip rows: the row form is the trait's default, which
+    // computes all of `Mᵀ · X` here and then zeroes the unlisted rows.
     fn propagate_transpose(&self, graph: &CsrGraph, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(graph.num_vertices(), x.cols());
-        self.propagate_transpose_into(graph, x, &mut out);
-        out
-    }
-
-    fn propagate_transpose_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
         // Mᵀ · X: scale each source row by its 1/(1+deg), then scatter
         // along edges (plus the self loop).
         let n = graph.num_vertices();
         assert_eq!(x.rows(), n, "one feature row per vertex");
-        assert_eq!(out.shape(), x.shape(), "propagate output shape mismatch");
-        out.as_mut_slice().fill(0.0);
+        let mut out = Matrix::zeros(n, x.cols());
         for v in 0..n {
             let inv = 1.0 / (1.0 + graph.degree(v) as f64);
             // Self contribution.
@@ -227,6 +290,7 @@ impl Propagation for MeanAggregator {
                 gopim_linalg::simd::axpy(out.row_mut(u as usize), x.row(v), inv);
             }
         }
+        out
     }
 }
 

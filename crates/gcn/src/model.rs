@@ -1,6 +1,7 @@
 //! The GCN model (the paper's Eqs. 1–2) with full-batch
 //! backpropagation.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 use gopim_graph::CsrGraph;
@@ -11,31 +12,60 @@ use gopim_linalg::loss::softmax_cross_entropy;
 use gopim_linalg::ops::hadamard_relu_grad_in_place;
 use gopim_linalg::optimizer::Adam;
 use gopim_linalg::Matrix;
+use gopim_obs::metrics::LazyCounter;
 
-use crate::aggregate::Propagation;
+use crate::aggregate::{unlisted, zero_unlisted_rows, Propagation};
 use crate::selective::StaleFeatureCache;
+
+/// Rows of combination (forward) and backward work skipped because
+/// the ISU cache served them stale: each stale row counts once in its
+/// layer's forward pass and once in its backward pass.
+static ROWS_SKIPPED: LazyCounter = LazyCounter::new("gcn.isu.rows_skipped");
 
 /// A multi-layer GCN: layer `l` computes
 /// `X^{l+1} = σ(Â · (X^l · W^l))` — Combination (`X·W`) then
 /// Aggregation (`Â·C`), with ReLU on every layer but the last.
 ///
+/// With an ISU cache an epoch computes only the rows the cache
+/// rewrites: the combination of its fresh vertices (straight into the
+/// cache's crossbar-resident matrix), and in the backward pass their
+/// rows of `Pᵀ·δ`, their terms of `∇W = Xᵀ·δ` and their rows of
+/// `δ·Wᵀ`. A stale row's gradient is `+0.0`, so leaving its terms out
+/// keeps every output bit (DESIGN.md §11 gives the argument and its
+/// finite-operand guards), and an epoch with no stale row runs the same
+/// kernels over every row.
+///
 /// Per-epoch temporaries (layer inputs, combination outputs,
-/// aggregation outputs, the output gradient, backward deltas and
-/// transposes) come from an internal [`BufferArena`] and go back to
-/// it: [`GcnModel::gradients`] recycles its deltas,
+/// aggregation outputs, the output gradient and backward deltas) come
+/// from an internal [`BufferArena`] and go back to it:
+/// [`GcnModel::gradients`] recycles its deltas,
 /// [`GcnModel::recycle_caches`] (which [`GcnModel::train_epoch`] calls
 /// itself) the forward buffers. Every buffer the arena holds is one it
 /// handed out, so after the first epoch its free list stays at one
-/// buffer per live temporary (11 for a 3-layer model) and the epoch
-/// loop stops allocating them; the unit tests pin that for plain, ISU
-/// and link training. Arena buffers are zero-filled on allocation, so
-/// the training trajectories stay bit-identical to the allocating
-/// implementation.
-#[derive(Debug, Clone)]
+/// buffer per live temporary and the epoch loop stops allocating them;
+/// the unit tests pin that for plain, ISU and link training. Only the
+/// output gradient, which the loss accumulates into, is zero-filled;
+/// every other buffer is one a kernel overwrites whole (the arena's
+/// write-once rule).
+#[derive(Debug)]
 pub struct GcnModel {
     weights: Vec<Matrix>,
     optimizers: Vec<Adam>,
     scratch: RefCell<BufferArena>,
+}
+
+impl Clone for GcnModel {
+    /// Clones the weights and optimizer state; the clone's scratch
+    /// arena starts empty, since arena contents never reach the
+    /// numerics (the weight-staleness path snapshots a model every
+    /// epoch).
+    fn clone(&self) -> Self {
+        GcnModel {
+            weights: self.weights.clone(),
+            optimizers: self.optimizers.clone(),
+            scratch: RefCell::default(),
+        }
+    }
 }
 
 impl GcnModel {
@@ -53,17 +83,38 @@ impl GcnModel {
             .enumerate()
             .map(|(i, w)| xavier_uniform(w[0], w[1], seed.wrapping_add(i as u64 * 131)))
             .collect();
+        GcnModel::from_weights(weights, learning_rate)
+    }
+
+    /// Creates a model from explicit per-layer weights (`W^l` is
+    /// `width_l × width_{l+1}`), each with a fresh Adam state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty, consecutive shapes do not chain,
+    /// or `learning_rate <= 0`.
+    pub fn from_weights(weights: Vec<Matrix>, learning_rate: f64) -> Self {
+        assert!(!weights.is_empty(), "need at least one layer");
+        assert!(
+            weights.windows(2).all(|w| w[0].cols() == w[1].rows()),
+            "layer widths must chain"
+        );
         let optimizers = weights.iter().map(|_| Adam::new(learning_rate)).collect();
         GcnModel {
             weights,
             optimizers,
-            scratch: RefCell::new(BufferArena::new()),
+            scratch: RefCell::default(),
         }
     }
 
     /// Number of GCN layers.
     pub fn num_layers(&self) -> usize {
         self.weights.len()
+    }
+
+    /// The per-layer weight matrices `W^l`.
+    pub fn weights(&self) -> &[Matrix] {
+        &self.weights
     }
 
     /// Pure forward pass (no staleness), returning the logits.
@@ -88,9 +139,9 @@ impl GcnModel {
     }
 
     /// Forward pass recording everything backprop needs: per-layer
-    /// inputs, post-aggregation pre-activations, and which rows were
-    /// served stale by the ISU cache. The last entry of `pre_acts` is
-    /// the output (the final layer has no ReLU).
+    /// inputs, post-aggregation pre-activations, and which rows the
+    /// ISU cache refreshed (the rest were served stale). The last
+    /// entry of `pre_acts` is the output (the final layer has no ReLU).
     pub fn forward_with_caches(
         &self,
         graph: &CsrGraph,
@@ -105,10 +156,10 @@ impl GcnModel {
         let last = num_layers - 1;
         let mut arena = self.scratch.borrow_mut();
         let mut inputs: Vec<Matrix> = Vec::with_capacity(num_layers);
-        let mut stale_masks: Vec<Vec<bool>> = Vec::with_capacity(num_layers);
+        let mut fresh_rows: Vec<Vec<usize>> = Vec::with_capacity(num_layers);
         let mut pre_acts: Vec<Matrix> = Vec::with_capacity(num_layers);
         let mut h = {
-            let mut first = arena.alloc(x.rows(), x.cols());
+            let mut first = arena.alloc_unzeroed(x.rows(), x.cols());
             first.as_mut_slice().copy_from_slice(x.as_slice());
             first
         };
@@ -116,31 +167,36 @@ impl GcnModel {
             inputs.push(h);
             let input = &inputs[l];
             let w = &self.weights[l];
-            let mut combined = arena.alloc(n, w.cols());
-            input.matmul_into(w, &mut combined);
-            // With an ISU cache, the aggregation reads the cache's own
-            // matrix (this epoch's rows written in place, the rest
-            // stale); either way `combined` goes back to the arena.
-            let mut aggregated = arena.alloc(n, w.cols());
-            let stale = match cache.as_deref_mut() {
+            // With an ISU cache, the combination computes only the rows
+            // the cache refreshes, straight into the cache's own matrix,
+            // and the aggregation reads that matrix (the other rows
+            // stale); without one, every row goes through an arena
+            // buffer.
+            let mut aggregated = arena.alloc_unzeroed(n, w.cols());
+            let fresh = match cache.as_deref_mut() {
                 Some(c) => {
-                    let (observed, stale) = c.observe(l, epoch, &combined);
-                    prop.propagate_into(graph, observed, &mut aggregated);
-                    stale
+                    let (features, fresh) = c.refresh(l, epoch, w.cols(), |rows, out| {
+                        input.matmul_rows_into(w, rows, out);
+                    });
+                    prop.propagate_into(graph, features, &mut aggregated);
+                    fresh
                 }
                 None => {
+                    let mut combined = arena.alloc_unzeroed(n, w.cols());
+                    input.matmul_into(w, &mut combined);
                     prop.propagate_into(graph, &combined, &mut aggregated);
-                    vec![false; n]
+                    arena.recycle(combined);
+                    (0..n).collect()
                 }
             };
-            arena.recycle(combined);
-            stale_masks.push(stale);
+            ROWS_SKIPPED.add((n - fresh.len()) as u64);
+            fresh_rows.push(fresh);
             h = if l == last {
                 // The output layer is linear; `aggregated` below is
                 // the network output and `h` is never read again.
                 Matrix::zeros(0, 0)
             } else {
-                let mut act = arena.alloc(n, aggregated.cols());
+                let mut act = arena.alloc_unzeroed(n, aggregated.cols());
                 relu_into(&aggregated, &mut act);
                 act
             };
@@ -149,7 +205,7 @@ impl GcnModel {
         ForwardCaches {
             inputs,
             pre_acts,
-            stale_masks,
+            fresh_rows,
         }
     }
 
@@ -184,7 +240,9 @@ impl GcnModel {
     /// Computes per-layer weight gradients for an arbitrary output
     /// gradient (`∂L/∂output`, `N × out_dim`) through the recorded
     /// forward pass, without touching the weights. Stale
-    /// (crossbar-resident) rows receive no gradient.
+    /// (crossbar-resident) rows receive no gradient: their rows of
+    /// `δ_combined` and of the delta passed to the layer below are
+    /// `+0.0`, and only the fresh rows are computed.
     ///
     /// # Panics
     ///
@@ -204,34 +262,38 @@ impl GcnModel {
             "output gradient shape mismatch"
         );
         // δ_pre = δ ⊙ σ'; δ_combined = Pᵀ δ_pre (P = Â is symmetric,
-        // the mean aggregator is not); stale rows are constants so
-        // their combined-gradient is zeroed; ∇W = Xᵀ δ_combined;
-        // δ_prev = δ_combined Wᵀ. All `N × d` temporaries come from
-        // the arena; only the weight-shaped gradients escape.
+        // the mean aggregator is not) on the fresh rows, +0.0 on the
+        // stale ones (constants); ∇W = Xᵀ δ_combined; δ_prev =
+        // δ_combined Wᵀ. All `N × d` temporaries come from the arena;
+        // only the weight-shaped gradients escape.
         let mut arena = self.scratch.borrow_mut();
         let mut grads = vec![Matrix::zeros(0, 0); num_layers];
+        let n = delta.rows();
         for l in (0..num_layers).rev() {
             if l != last {
                 hadamard_relu_grad_in_place(&mut delta, &caches.pre_acts[l]);
             }
-            let mut d_combined = arena.alloc(delta.rows(), delta.cols());
-            prop.propagate_transpose_into(graph, &delta, &mut d_combined);
-            for (v, &is_stale) in caches.stale_masks[l].iter().enumerate() {
-                if is_stale {
-                    for g in d_combined.row_mut(v) {
-                        *g = 0.0;
-                    }
-                }
-            }
+            let fresh = &caches.fresh_rows[l];
+            ROWS_SKIPPED.add((n - fresh.len()) as u64);
+            let mut d_combined = arena.alloc_unzeroed(n, delta.cols());
+            prop.propagate_transpose_rows_into(graph, &delta, fresh, &mut d_combined);
             let input = &caches.inputs[l];
-            let mut input_t = arena.alloc(input.cols(), input.rows());
-            input.transpose_into(&mut input_t);
-            grads[l] = input_t.matmul(&d_combined);
-            arena.recycle(input_t);
+            grads[l] = input.matmul_tn_rows(&d_combined, &gradient_rows(fresh, input));
             if l > 0 {
-                let w_t = self.weights[l].transpose();
-                let mut next = arena.alloc(d_combined.rows(), w_t.cols());
-                d_combined.matmul_into(&w_t, &mut next);
+                // A stale row of δ_combined is +0.0, so its row of
+                // δ_prev is +0.0 while W is finite (0·inf is NaN: with
+                // a non-finite W every row is computed, as densely).
+                let w = &self.weights[l];
+                let all: Vec<usize>;
+                let rows = if w.as_slice().iter().all(|v| v.is_finite()) {
+                    fresh
+                } else {
+                    all = (0..n).collect();
+                    &all
+                };
+                let mut next = arena.alloc_unzeroed(n, w.rows());
+                d_combined.matmul_rows_into(&w.transpose(), rows, &mut next);
+                zero_unlisted_rows(&mut next, rows);
                 arena.recycle(std::mem::replace(&mut delta, next));
             }
             arena.recycle(d_combined);
@@ -308,6 +370,24 @@ impl GcnModel {
     }
 }
 
+/// The rows whose terms `∇W = Xᵀ·δ_combined` adds: the fresh rows,
+/// plus any stale row of `x` holding a non-finite value. A stale row's
+/// `δ_combined` is `+0.0`, so for a finite row its terms are `±0.0`,
+/// which leave an accumulator that started at `+0.0` unchanged; `inf·0`
+/// and `NaN·0` are NaN, which the dense product carries into `∇W`, so
+/// such a row keeps its terms.
+fn gradient_rows<'a>(fresh: &'a [usize], x: &Matrix) -> Cow<'a, [usize]> {
+    let nonfinite: Vec<usize> = unlisted(fresh, x.rows())
+        .filter(|&v| x.row(v).iter().any(|a| !a.is_finite()))
+        .collect();
+    if nonfinite.is_empty() {
+        return Cow::Borrowed(fresh);
+    }
+    let mut rows = [fresh, &nonfinite].concat();
+    rows.sort_unstable();
+    Cow::Owned(rows)
+}
+
 /// Masked softmax cross-entropy over the `mask` rows of `logits`:
 /// returns the mean loss over those rows and writes `∂L/∂logits` into
 /// `delta` (zero on unmasked rows, which `delta` must already be).
@@ -342,7 +422,7 @@ pub(crate) fn masked_cross_entropy(
 pub struct ForwardCaches {
     inputs: Vec<Matrix>,
     pre_acts: Vec<Matrix>,
-    stale_masks: Vec<Vec<bool>>,
+    fresh_rows: Vec<Vec<usize>>,
 }
 
 impl ForwardCaches {
@@ -351,6 +431,34 @@ impl ForwardCaches {
     pub fn output(&self) -> &Matrix {
         // lint:allow(no-panic-in-lib): ForwardCaches is only built by forward passes over models with >= 1 layer
         self.pre_acts.last().expect("at least one layer")
+    }
+
+    /// Layer `l`'s input `X^l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range.
+    pub fn input(&self, l: usize) -> &Matrix {
+        &self.inputs[l]
+    }
+
+    /// Layer `l`'s aggregated pre-activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range.
+    pub fn pre_activation(&self, l: usize) -> &Matrix {
+        &self.pre_acts[l]
+    }
+
+    /// The rows layer `l` computed this epoch, ascending; the ISU
+    /// cache served every other row stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range.
+    pub fn fresh_rows(&self, l: usize) -> &[usize] {
+        &self.fresh_rows[l]
     }
 }
 

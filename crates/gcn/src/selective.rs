@@ -57,39 +57,43 @@ impl StaleFeatureCache {
         self.important.iter().filter(|&&i| !i).count()
     }
 
-    /// Applies the update schedule for `epoch` at `layer`: writes the
-    /// rows that update this epoch into the cached matrix in place and
-    /// lends that matrix out — it is what the aggregation actually
-    /// sees — along with a mask of rows that were served stale (no
-    /// gradient flows through those).
+    /// Applies the update schedule for `epoch` at `layer`: `combine`
+    /// gets the rows that update this epoch (ascending; every row on
+    /// the layer's first epoch) and writes their combined features
+    /// into the cached `vertices × cols` matrix in place, leaving the
+    /// other rows as the crossbar holds them. The matrix is then lent
+    /// out — it is what the aggregation actually sees — with the list
+    /// of fresh rows; the rest were served stale, and no gradient flows
+    /// through those.
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is out of range or `fresh` has the wrong row
-    /// count.
-    pub fn observe(&mut self, layer: usize, epoch: usize, fresh: &Matrix) -> (&Matrix, Vec<bool>) {
+    /// Panics if `layer` is out of range or `cols` differs from the
+    /// width the layer was first written with.
+    pub fn refresh(
+        &mut self,
+        layer: usize,
+        epoch: usize,
+        cols: usize,
+        combine: impl FnOnce(&[usize], &mut Matrix),
+    ) -> (&Matrix, Vec<usize>) {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
-        assert_eq!(
-            fresh.rows(),
-            self.important.len(),
-            "one row per vertex expected"
-        );
-        let mut stale = vec![false; fresh.rows()];
-        let cached = match &mut self.layers[layer] {
+        let n = self.important.len();
+        let (cached, fresh): (_, Vec<usize>) = match &mut self.layers[layer] {
             // First epoch: everything is written.
-            slot @ None => slot.insert(fresh.clone()),
+            slot @ None => (slot.insert(Matrix::zeros(n, cols)), (0..n).collect()),
             Some(cached) => {
-                for (v, flag) in stale.iter_mut().enumerate() {
-                    if !self.frozen[v] && self.policy.updates_in_epoch(self.important[v], epoch) {
-                        cached.row_mut(v).copy_from_slice(fresh.row(v));
-                    } else {
-                        *flag = true;
-                    }
-                }
-                cached
+                let fresh = (0..n)
+                    .filter(|&v| {
+                        !self.frozen[v] && self.policy.updates_in_epoch(self.important[v], epoch)
+                    })
+                    .collect();
+                (cached, fresh)
             }
         };
-        (cached, stale)
+        assert_eq!(cached.cols(), cols, "layer {layer} changed width");
+        combine(&fresh, cached);
+        (cached, fresh)
     }
 }
 
@@ -101,12 +105,32 @@ mod tests {
         SelectivePolicy::with_theta(0.5, 4)
     }
 
+    /// Refreshes `layer` from a precomputed `fresh` matrix; returns
+    /// what the aggregation sees and the stale mask.
+    fn observe(
+        cache: &mut StaleFeatureCache,
+        layer: usize,
+        epoch: usize,
+        fresh: &Matrix,
+    ) -> (Matrix, Vec<bool>) {
+        let (seen, rows) = cache.refresh(layer, epoch, fresh.cols(), |rows, out| {
+            for &v in rows {
+                out.row_mut(v).copy_from_slice(fresh.row(v));
+            }
+        });
+        let mut stale = vec![true; fresh.rows()];
+        for v in rows {
+            stale[v] = false;
+        }
+        (seen.clone(), stale)
+    }
+
     #[test]
     fn first_observation_writes_everything() {
         let mut cache = StaleFeatureCache::new(1, vec![true, false], policy());
         let fresh = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let (seen, stale) = cache.observe(0, 0, &fresh);
-        assert_eq!(*seen, fresh);
+        let (seen, stale) = observe(&mut cache, 0, 0, &fresh);
+        assert_eq!(seen, fresh);
         assert_eq!(stale, vec![false, false]);
     }
 
@@ -114,9 +138,9 @@ mod tests {
     fn unimportant_rows_go_stale_between_refreshes() {
         let mut cache = StaleFeatureCache::new(1, vec![true, false], policy());
         let e0 = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        cache.observe(0, 0, &e0);
+        observe(&mut cache, 0, 0, &e0);
         let e1 = Matrix::from_rows(&[&[10.0], &[20.0]]);
-        let (seen, stale) = cache.observe(0, 1, &e1);
+        let (seen, stale) = observe(&mut cache, 0, 1, &e1);
         // Important row fresh, unimportant row still the epoch-0 value.
         assert_eq!(seen[(0, 0)], 10.0);
         assert_eq!(seen[(1, 0)], 2.0);
@@ -126,10 +150,10 @@ mod tests {
     #[test]
     fn stale_rows_refresh_on_period() {
         let mut cache = StaleFeatureCache::new(1, vec![false, false], policy());
-        cache.observe(0, 0, &Matrix::from_rows(&[&[1.0], &[1.0]]));
-        cache.observe(0, 1, &Matrix::from_rows(&[&[2.0], &[2.0]]));
+        observe(&mut cache, 0, 0, &Matrix::from_rows(&[&[1.0], &[1.0]]));
+        observe(&mut cache, 0, 1, &Matrix::from_rows(&[&[2.0], &[2.0]]));
         // Epoch 4 is a refresh epoch (period 4).
-        let (seen, stale) = cache.observe(0, 4, &Matrix::from_rows(&[&[5.0], &[5.0]]));
+        let (seen, stale) = observe(&mut cache, 0, 4, &Matrix::from_rows(&[&[5.0], &[5.0]]));
         assert_eq!(seen[(0, 0)], 5.0);
         assert!(stale.iter().all(|&s| !s));
     }
@@ -137,12 +161,12 @@ mod tests {
     #[test]
     fn frozen_rows_never_refresh_even_on_period() {
         let mut cache = StaleFeatureCache::new(1, vec![true, true], policy());
-        cache.observe(0, 0, &Matrix::from_rows(&[&[1.0], &[2.0]]));
+        observe(&mut cache, 0, 0, &Matrix::from_rows(&[&[1.0], &[2.0]]));
         cache.freeze(&[1, 99]); // out-of-range id ignored
         assert_eq!(cache.num_frozen(), 1);
         // Row 0 (important, live) refreshes; row 1 is frozen at its
         // epoch-0 value — even at a period-refresh epoch.
-        let (seen, stale) = cache.observe(0, 4, &Matrix::from_rows(&[&[10.0], &[20.0]]));
+        let (seen, stale) = observe(&mut cache, 0, 4, &Matrix::from_rows(&[&[10.0], &[20.0]]));
         assert_eq!(seen[(0, 0)], 10.0);
         assert_eq!(seen[(1, 0)], 2.0);
         assert_eq!(stale, vec![false, true]);
@@ -156,8 +180,8 @@ mod tests {
         frozen.freeze(&[]);
         for epoch in 0..6 {
             let fresh = Matrix::from_rows(&[&[epoch as f64], &[epoch as f64 + 0.5]]);
-            let a = plain.observe(0, epoch, &fresh);
-            let b = frozen.observe(0, epoch, &fresh);
+            let a = observe(&mut plain, 0, epoch, &fresh);
+            let b = observe(&mut frozen, 0, epoch, &fresh);
             assert_eq!(a, b);
         }
     }
@@ -165,9 +189,9 @@ mod tests {
     #[test]
     fn layers_are_independent() {
         let mut cache = StaleFeatureCache::new(2, vec![false], policy());
-        cache.observe(0, 0, &Matrix::from_rows(&[&[1.0]]));
+        observe(&mut cache, 0, 0, &Matrix::from_rows(&[&[1.0]]));
         // Layer 1 first observed at epoch 1: must be fully written.
-        let (seen, stale) = cache.observe(1, 1, &Matrix::from_rows(&[&[7.0]]));
+        let (seen, stale) = observe(&mut cache, 1, 1, &Matrix::from_rows(&[&[7.0]]));
         assert_eq!(seen[(0, 0)], 7.0);
         assert_eq!(stale, vec![false]);
     }

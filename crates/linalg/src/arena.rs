@@ -2,22 +2,27 @@
 //!
 //! The GCN propagation path allocates the same set of temporaries
 //! every epoch — per-layer combination outputs, aggregation outputs,
-//! activations, backward deltas and transposes — and frees them all at
-//! the epoch boundary. [`BufferArena`] keeps those buffers alive
-//! across epochs instead: [`BufferArena::alloc`] hands out a zeroed
-//! matrix backed by a recycled allocation when one with enough
-//! capacity exists, and [`BufferArena::recycle`] returns a matrix's
-//! storage to the free list. After the first epoch warms the arena,
-//! the steady-state propagation path performs no heap allocation for
-//! its temporaries — provided it recycles only matrices the arena
-//! handed out. Recycling a foreign matrix (a clone, a `Matrix::zeros`)
-//! adds a buffer the next epoch does not ask back, so a loop that does
-//! it every epoch grows the free list without bound.
+//! activations, the output gradient and backward deltas — and frees
+//! them all at the epoch boundary. [`BufferArena`] keeps those buffers
+//! alive across epochs instead: [`BufferArena::alloc`] and
+//! [`BufferArena::alloc_unzeroed`] hand out a matrix backed by a
+//! recycled allocation when one with enough capacity exists, and
+//! [`BufferArena::recycle`] returns a matrix's storage to the free
+//! list. After the first epoch warms the arena, the steady-state
+//! propagation path performs no heap allocation for its temporaries —
+//! provided it recycles only matrices the arena handed out. Recycling
+//! a foreign matrix (a clone, a `Matrix::zeros`) adds a buffer the next
+//! epoch does not ask back, so a loop that does it every epoch grows
+//! the free list without bound.
 //!
-//! Determinism: an arena-backed matrix is zero-filled on allocation,
-//! exactly like `Matrix::zeros`, so recycling can never leak one
-//! epoch's values into the next — the differential and golden tests
-//! pin the training trajectories bitwise.
+//! Determinism (the write-once rule): a buffer that something
+//! accumulates into, or that is only partly written, comes from
+//! [`BufferArena::alloc`], zero-filled exactly like `Matrix::zeros`; a
+//! buffer that a kernel overwrites whole comes from
+//! [`BufferArena::alloc_unzeroed`] and may hold an earlier epoch's
+//! values until that kernel runs. Either way no epoch can read another
+//! epoch's values, and the differential and golden tests pin the
+//! training trajectories bitwise.
 
 use crate::Matrix;
 use gopim_obs::metrics::LazyCounter;
@@ -52,8 +57,18 @@ impl BufferArena {
     }
 
     /// A zeroed `rows × cols` matrix, backed by a recycled buffer when
-    /// one with sufficient capacity is available.
+    /// one with sufficient capacity is available — for a buffer that
+    /// something accumulates into or writes only in part.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> Matrix {
+        let mut m = self.alloc_unzeroed(rows, cols);
+        m.as_mut_slice().fill(0.0);
+        m
+    }
+
+    /// A `rows × cols` matrix whose contents are whatever its recycled
+    /// buffer last held (zeros if it is new), for a buffer a kernel
+    /// overwrites whole before anything reads it.
+    pub fn alloc_unzeroed(&mut self, rows: usize, cols: usize) -> Matrix {
         let need = rows * cols;
         // Smallest sufficient buffer. The free list stays tiny as long
         // as callers recycle only buffers this arena handed out: then
@@ -70,7 +85,7 @@ impl BufferArena {
             Some(i) => {
                 ARENA_REUSES.add(1);
                 let mut buf = self.free.swap_remove(i);
-                buf.clear();
+                // Keeps the old values; only a grown tail is filled.
                 buf.resize(need, 0.0);
                 buf
             }
@@ -112,6 +127,25 @@ mod tests {
         let again = arena.alloc(3, 3);
         assert_eq!(arena.free_buffers(), 0, "storage was reused");
         assert!(again.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn unzeroed_alloc_reuses_storage_without_clearing_it() {
+        let mut arena = BufferArena::new();
+        let mut m = arena.alloc_unzeroed(2, 3);
+        assert!(
+            m.as_slice().iter().all(|&v| v == 0.0),
+            "new buffers are zeros"
+        );
+        m.as_mut_slice().fill(7.5);
+        arena.recycle(m);
+        // A smaller request keeps the old values; a larger one on the
+        // same capacity fills only the grown tail.
+        let small = arena.alloc_unzeroed(1, 3);
+        assert_eq!(small.as_slice(), &[7.5; 3]);
+        arena.recycle(small);
+        let grown = arena.alloc_unzeroed(2, 3);
+        assert_eq!(grown.as_slice(), &[7.5, 7.5, 7.5, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! the baseline ISA (see [`crate::simd`]); Rust never contracts
 //! `acc + a * b` into an FMA by itself, so both builds give the same
 //! bits.
+//!
+//! Two row-sparse siblings keep the same tiles and the same rounding:
+//! [`matmul_rows_block`] computes only a listed subset of output rows
+//! (the GCN's fresh vertices), and [`matmul_tn_block`] forms `aᵀ × b`
+//! from the untransposed `a`, reducing over a listed subset of rows of
+//! both operands (the GCN's `∇W = Xᵀ·δ`). Neither changes which terms
+//! an output adds or in what order beyond what its list says.
 
 use crate::simd::mac;
 
@@ -117,6 +124,254 @@ fn tile<const R: usize, const C: usize>(
     }
     for (r, acc_row) in acc.iter().enumerate() {
         out[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(acc_row);
+    }
+}
+
+crate::simd::isa_dispatch! {
+    /// `out = a × b` on the listed rows only: for each `r` in `rows`,
+    /// row `r - row0` of `out` becomes row `r` of `a` times `b`, and
+    /// every other row of `out` keeps its contents. `a` is `m × kd`
+    /// row-major, `b` is `kd × n`, and `out` holds rows
+    /// `row0..row0 + out.len() / n` of the `m × n` product. Each listed
+    /// output has the bits [`matmul_block`] gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match those shapes or a
+    /// listed row falls outside `out` or `a`.
+    pub(crate) fn matmul_rows_block(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        kd: usize,
+        n: usize,
+        rows: &[usize],
+        row0: usize,
+    ) => matmul_rows_tiles
+}
+
+#[inline(always)]
+fn matmul_rows_tiles(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kd: usize,
+    n: usize,
+    rows: &[usize],
+    row0: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    let block = out.len() / n;
+    assert!(
+        out.len() == block * n
+            && b.len() == kd * n
+            && rows
+                .iter()
+                .all(|&r| (row0..row0 + block).contains(&r) && (r + 1) * kd <= a.len()),
+        "matmul_rows_block: operand shapes mismatch"
+    );
+    let mut groups = rows.chunks_exact(MR);
+    for group in &mut groups {
+        listed_row_tiles::<MR>(a, b, out, kd, n, std::array::from_fn(|r| group[r]), row0);
+    }
+    for &r in groups.remainder() {
+        listed_row_tiles::<1>(a, b, out, kd, n, [r], row0);
+    }
+}
+
+/// All tiles of the listed output rows `rows`, left to right.
+#[inline(always)]
+fn listed_row_tiles<const R: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kd: usize,
+    n: usize,
+    rows: [usize; R],
+    row0: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        listed_tile::<R, NR>(a, b, out, kd, n, rows, row0, j);
+        j += NR;
+    }
+    if j + 4 <= n {
+        listed_tile::<R, 4>(a, b, out, kd, n, rows, row0, j);
+        j += 4;
+    }
+    if j + 2 <= n {
+        listed_tile::<R, 2>(a, b, out, kd, n, rows, row0, j);
+        j += 2;
+    }
+    if j < n {
+        listed_tile::<R, 1>(a, b, out, kd, n, rows, row0, j);
+    }
+}
+
+/// [`tile`] for the output rows `rows` (any `R` listed rows), columns
+/// `j..j + C`.
+#[allow(clippy::too_many_arguments)] // the tile's operands and coordinates
+#[inline(always)]
+fn listed_tile<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kd: usize,
+    n: usize,
+    rows: [usize; R],
+    row0: usize,
+    j: usize,
+) {
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[rows[r] * kd..(rows[r] + 1) * kd]);
+    assert!(j + C <= n && b.len() == kd * n);
+    let mut acc = [[0.0f64; C]; R];
+    for k in 0..kd {
+        // SAFETY: as in `tile`: k < kd and j + C <= n bound the load
+        // inside `b`.
+        let bk = unsafe { &*b.as_ptr().add(k * n + j).cast::<[f64; C]>() };
+        for r in 0..R {
+            // SAFETY: each `a_rows[r]` was sliced to length kd above.
+            let ark = unsafe { *a_rows[r].get_unchecked(k) };
+            for c in 0..C {
+                acc[r][c] = mac(acc[r][c], ark, bk[c]);
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let o = (rows[r] - row0) * n + j;
+        out[o..o + C].copy_from_slice(acc_row);
+    }
+}
+
+crate::simd::isa_dispatch! {
+    /// `out = aᵀ × b` over the listed rows: output `(i, j)` adds
+    /// `a[k][i]·b[k][j]` for each `k` in `ks`, in list order, from
+    /// `0.0`, so with `ks` ascending it has the bits [`matmul_block`]
+    /// gives `aᵀ × b` restricted to those rows. `a` is `ka × m`
+    /// row-major, `b` is `ka × n`, and `out` holds rows
+    /// `row0..row0 + out.len() / n` of the `m × n` product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match those shapes or a
+    /// listed row is out of bounds of `a` or `b`.
+    pub(crate) fn matmul_tn_block(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        m: usize,
+        n: usize,
+        ks: &[usize],
+        row0: usize,
+    ) => matmul_tn_tiles
+}
+
+#[inline(always)]
+fn matmul_tn_tiles(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    ks: &[usize],
+    row0: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    let rows = out.len() / n;
+    assert!(
+        out.len() == rows * n && row0 + rows <= m,
+        "matmul_tn_block: output shape mismatch"
+    );
+    // One range check per listed row, so the tiles load unchecked.
+    for &k in ks {
+        assert!(
+            (k + 1) * m <= a.len() && (k + 1) * n <= b.len(),
+            "matmul_tn_block: row {k} out of bounds"
+        );
+    }
+    let mut i = row0;
+    while i + MR <= row0 + rows {
+        tn_row_tiles::<MR>(a, b, out, m, n, ks, row0, i);
+        i += MR;
+    }
+    while i < row0 + rows {
+        tn_row_tiles::<1>(a, b, out, m, n, ks, row0, i);
+        i += 1;
+    }
+}
+
+/// All tiles of product rows `i..i + R`, left to right.
+#[allow(clippy::too_many_arguments)] // the tile's operands and coordinates
+#[inline(always)]
+fn tn_row_tiles<const R: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    ks: &[usize],
+    row0: usize,
+    i: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        tn_tile::<R, NR>(a, b, out, m, n, ks, row0, i, j);
+        j += NR;
+    }
+    if j + 4 <= n {
+        tn_tile::<R, 4>(a, b, out, m, n, ks, row0, i, j);
+        j += 4;
+    }
+    if j + 2 <= n {
+        tn_tile::<R, 2>(a, b, out, m, n, ks, row0, i, j);
+        j += 2;
+    }
+    if j < n {
+        tn_tile::<R, 1>(a, b, out, m, n, ks, row0, i, j);
+    }
+}
+
+/// Product rows `i..i + R` (columns `i..i + R` of `a`), columns
+/// `j..j + C`, accumulated in registers over the listed rows `ks`.
+#[allow(clippy::too_many_arguments)] // the tile's operands and coordinates
+#[inline(always)]
+fn tn_tile<const R: usize, const C: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    ks: &[usize],
+    row0: usize,
+    i: usize,
+    j: usize,
+) {
+    assert!(i + R <= m && j + C <= n);
+    let mut acc = [[0.0f64; C]; R];
+    for &k in ks {
+        // SAFETY: `matmul_tn_tiles` checked (k + 1)·m <= a.len() and
+        // (k + 1)·n <= b.len() for every listed k, and i + R <= m,
+        // j + C <= n (asserted above); the arrays have `f64`'s
+        // alignment.
+        let (ak, bk) = unsafe {
+            (
+                &*a.as_ptr().add(k * m + i).cast::<[f64; R]>(),
+                &*b.as_ptr().add(k * n + j).cast::<[f64; C]>(),
+            )
+        };
+        for r in 0..R {
+            for c in 0..C {
+                acc[r][c] = mac(acc[r][c], ak[r], bk[c]);
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let o = (i - row0 + r) * n + j;
+        out[o..o + C].copy_from_slice(acc_row);
     }
 }
 

@@ -191,16 +191,7 @@ impl Matrix {
         // (which scales with the pool) has no effect on the bits. A
         // product below `PAR_MIN_WORK` multiply-adds runs as one task:
         // splitting it costs more in pool hand-offs than it saves.
-        // Blocks are whole register tiles of `MR` rows: split 8 ways,
-        // a 48-row `Xᵀ·δ` would leave two slow one-row tails in every
-        // 6-row block (48×1200×48 measured 1.5× slower that way).
-        let block_rows = if m * k * n < PAR_MIN_WORK {
-            m
-        } else {
-            m.div_ceil(gopim_par::num_threads() * 4)
-                .next_multiple_of(kernels::MR)
-                .min(m)
-        };
+        let block_rows = block_rows(m, m * k * n);
         gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
             let row0 = block * block_rows;
             let rows = chunk.len() / n;
@@ -214,31 +205,109 @@ impl Matrix {
         });
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Transpose written into `out`, overwriting its contents — the
-    /// allocation-free form of [`Matrix::transpose`] for callers that
-    /// reuse a buffer (e.g. the GCN backward pass's arena).
+    /// The product `self × rhs` on the listed rows only: each row `r`
+    /// in `rows` of `out` becomes row `r` of `self` times `rhs`, with
+    /// the bits [`Matrix::matmul_into`] gives it, and every other row
+    /// of `out` keeps its contents. The GCN computes its fresh
+    /// vertices' combinations this way, straight into the rows of the
+    /// stale-feature cache.
     ///
     /// # Panics
     ///
-    /// Panics if `out`'s shape is not `self.cols() × self.rows()`.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    /// Panics if `self.cols() != rhs.rows()`, `out`'s shape is not
+    /// `self.rows() × rhs.cols()`, or `rows` is not strictly
+    /// ascending within `0..self.rows()`.
+    pub fn matmul_rows_into(&self, rhs: &Matrix, rows: &[usize], out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "dimension mismatch: {}x{} × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
         assert_eq!(
             (out.rows, out.cols),
-            (self.cols, self.rows),
-            "transpose output shape mismatch"
+            (self.rows, rhs.cols),
+            "output shape mismatch: got {}x{}, need {}x{}",
+            out.rows,
+            out.cols,
+            self.rows,
+            rhs.cols
         );
+        assert_ascending(rows, self.rows);
+        let (listed, k, n) = (rows.len(), self.cols, rhs.cols);
+        let _span = gopim_obs::span!("linalg.matmul_rows", listed, k, n);
+        MATMUL_CALLS.add(1);
+        MATMUL_FLOPS.add(2 * (listed as u64) * (k as u64) * (n as u64));
+        let _timer = MATMUL_NS.timer();
+        if out.data.is_empty() {
+            return;
+        }
+        // Contiguous blocks of output rows, as in `matmul_into`; each
+        // block computes the listed rows that fall inside it.
+        let m = self.rows;
+        let block_rows = block_rows(m, listed * k * n);
+        gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
+            let row0 = block * block_rows;
+            let lo = rows.partition_point(|&r| r < row0);
+            let hi = rows.partition_point(|&r| r < row0 + chunk.len() / n);
+            kernels::matmul_rows_block(&self.data, &rhs.data, chunk, k, n, &rows[lo..hi], row0);
+        });
+    }
+
+    /// The product `selfᵀ × rhs`, formed without transposing `self`
+    /// and bit-identical to `self.transpose().matmul(rhs)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        let all: Vec<usize> = (0..self.rows).collect();
+        self.matmul_tn_rows(rhs, &all)
+    }
+
+    /// `selfᵀ × rhs` summed over the listed rows of both operands only:
+    /// output `(i, j)` adds `self[(k, i)]·rhs[(k, j)]` for ascending
+    /// `k` in `rows`, so it equals `self.transpose().matmul(rhs)` with
+    /// every unlisted row's terms left out. Row-partitioned over the
+    /// pool like [`Matrix::matmul_into`], with the same bits at every
+    /// thread count. The GCN forms each weight gradient `Xᵀ·δ` this
+    /// way over its fresh vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()` or `rows` is not strictly
+    /// ascending within `0..self.rows()`.
+    pub fn matmul_tn_rows(&self, rhs: &Matrix, rows: &[usize]) -> Matrix {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "dimension mismatch: ({}x{})ᵀ × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_ascending(rows, self.rows);
+        let (m, listed, n) = (self.cols, rows.len(), rhs.cols);
+        let _span = gopim_obs::span!("linalg.matmul_tn", m, listed, n);
+        MATMUL_CALLS.add(1);
+        MATMUL_FLOPS.add(2 * (m as u64) * (listed as u64) * (n as u64));
+        let _timer = MATMUL_NS.timer();
+        let mut out = Matrix::zeros(m, n);
+        if out.data.is_empty() {
+            return out;
+        }
+        let block_rows = block_rows(m, m * listed * n);
+        gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
+            kernels::matmul_tn_block(&self.data, &rhs.data, chunk, m, n, rows, block * block_rows);
+        });
+        out
+    }
+
+    /// Transpose.
+    pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
             }
         }
+        out
     }
 
     /// Element-wise map.
@@ -254,6 +323,31 @@ impl Matrix {
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
+}
+
+/// Output rows per task for a product with `m` output rows and `work`
+/// multiply-adds: all of them below `PAR_MIN_WORK`, else whole
+/// register tiles of `MR` rows, about four blocks per pool thread.
+/// Split 8 ways without rounding to `MR`, a 48-row product would leave
+/// two slow one-row tails in every 6-row block (48×1200×48 measured
+/// 1.5× slower that way).
+fn block_rows(m: usize, work: usize) -> usize {
+    if work < PAR_MIN_WORK {
+        m
+    } else {
+        m.div_ceil(gopim_par::num_threads() * 4)
+            .next_multiple_of(kernels::MR)
+            .min(m)
+    }
+}
+
+/// Asserts that `rows` is strictly ascending and below `bound` (the
+/// row lists of the row-sparse products).
+fn assert_ascending(rows: &[usize], bound: usize) {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < bound),
+        "row list must be strictly ascending and below {bound}"
+    );
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -20,8 +20,9 @@
 //!
 //! [`gather_row`] is the CSR aggregation kernel: for one output row it
 //! holds a tile of up to `GATHER_TILE` (16) columns in registers across
-//! the vertex's neighbor list (the self-loop first), then stores the
-//! tile once. The 1–15-column remainder is one more tile of exactly
+//! the vertex's neighbor list (the self-loop first), starting from
+//! `0.0`, then stores the tile once, so the output row needs no
+//! zero-fill beforehand. The 1–15-column remainder is one more tile of exactly
 //! that width, so narrow rows such as the link datasets' `d = 2` logits
 //! also run on register accumulators. [`gather_row_scalar`] is the
 //! reference it is pinned against.
@@ -152,9 +153,10 @@ const GATHER_TILE: usize = 16;
 /// with huge degrees.
 const GATHER_CHUNK: usize = 32;
 
-/// Reference row gather: into `dst` (row `v`'s output, length `d`),
-/// accumulate `self_coeff · x[v]` then `coeff(u) · x[u]` for each
-/// neighbor in order. `x` is a row-major `n × d` matrix.
+/// Reference row gather: overwrite `dst` (row `v`'s output, length
+/// `d`) with `0.0`, then accumulate `self_coeff · x[v]` and
+/// `coeff(u) · x[u]` for each neighbor in order. `x` is a row-major
+/// `n × d` matrix.
 pub fn gather_row_scalar(
     dst: &mut [f64],
     x: &[f64],
@@ -164,6 +166,7 @@ pub fn gather_row_scalar(
     neighbors: &[u32],
     coeffs: NeighborCoeffs,
 ) {
+    dst.fill(0.0);
     axpy_scalar(dst, &x[v * d..v * d + d], self_coeff);
     for &u in neighbors {
         axpy_scalar(dst, &x[u as usize * d..u as usize * d + d], coeffs.coeff(u));
@@ -177,9 +180,9 @@ isa_dispatch! {
     /// source rows.
     ///
     /// Bit-identical to [`gather_row_scalar`] on every dispatch path:
-    /// each output element keeps one accumulator, which starts at
-    /// `dst[j]` and adds the self-loop, then the neighbors in CSR order,
-    /// with the same rounding.
+    /// each output element keeps one accumulator, which starts at `0.0`
+    /// and adds the self-loop, then the neighbors in CSR order, with
+    /// the same rounding; `dst`'s old contents are never read.
     ///
     /// # Panics
     ///
@@ -217,6 +220,7 @@ fn gather_tiles(
     terms[0] = (v * d, self_coeff);
     let mut len = 1;
     let mut rest = neighbors;
+    let mut first = true;
     loop {
         let take = (GATHER_CHUNK - len).min(rest.len());
         for (term, &u) in terms[len..len + take].iter_mut().zip(rest) {
@@ -229,52 +233,54 @@ fn gather_tiles(
         rest = &rest[take..];
         // SAFETY: every offset in `terms` is `u·d` for a row `u < rows`
         // (asserted as it was stored), so `off + d <= x.len()`.
-        unsafe { gather_chunk(dst, x, d, &terms[..len + take]) };
+        unsafe { gather_chunk(dst, x, d, &terms[..len + take], first) };
         if rest.is_empty() {
             return;
         }
         len = 0;
+        first = false;
     }
 }
 
-/// Accumulates one chunk of `terms` into every column tile of `dst`.
+/// Accumulates one chunk of `terms` into every column tile of `dst`,
+/// starting from `0.0` for the `first` chunk and from `dst` after it.
 ///
 /// # Safety
 ///
 /// Every `(off, _)` in `terms` must satisfy `off + d <= x.len()`.
 #[inline(always)]
-unsafe fn gather_chunk(dst: &mut [f64], x: &[f64], d: usize, terms: &[(usize, f64)]) {
+unsafe fn gather_chunk(dst: &mut [f64], x: &[f64], d: usize, terms: &[(usize, f64)], first: bool) {
     let mut j = 0;
     // SAFETY (every tile below): this function's contract.
     unsafe {
         while j + GATHER_TILE <= d {
-            gather_tile::<GATHER_TILE>(dst, x, d, terms, j);
+            gather_tile::<GATHER_TILE>(dst, x, d, terms, j, first);
             j += GATHER_TILE;
         }
         // The 0–15-column remainder, as one tile of exactly that width.
         match d - j {
             0 => {}
-            1 => gather_tile::<1>(dst, x, d, terms, j),
-            2 => gather_tile::<2>(dst, x, d, terms, j),
-            3 => gather_tile::<3>(dst, x, d, terms, j),
-            4 => gather_tile::<4>(dst, x, d, terms, j),
-            5 => gather_tile::<5>(dst, x, d, terms, j),
-            6 => gather_tile::<6>(dst, x, d, terms, j),
-            7 => gather_tile::<7>(dst, x, d, terms, j),
-            8 => gather_tile::<8>(dst, x, d, terms, j),
-            9 => gather_tile::<9>(dst, x, d, terms, j),
-            10 => gather_tile::<10>(dst, x, d, terms, j),
-            11 => gather_tile::<11>(dst, x, d, terms, j),
-            12 => gather_tile::<12>(dst, x, d, terms, j),
-            13 => gather_tile::<13>(dst, x, d, terms, j),
-            14 => gather_tile::<14>(dst, x, d, terms, j),
-            _ => gather_tile::<15>(dst, x, d, terms, j),
+            1 => gather_tile::<1>(dst, x, d, terms, j, first),
+            2 => gather_tile::<2>(dst, x, d, terms, j, first),
+            3 => gather_tile::<3>(dst, x, d, terms, j, first),
+            4 => gather_tile::<4>(dst, x, d, terms, j, first),
+            5 => gather_tile::<5>(dst, x, d, terms, j, first),
+            6 => gather_tile::<6>(dst, x, d, terms, j, first),
+            7 => gather_tile::<7>(dst, x, d, terms, j, first),
+            8 => gather_tile::<8>(dst, x, d, terms, j, first),
+            9 => gather_tile::<9>(dst, x, d, terms, j, first),
+            10 => gather_tile::<10>(dst, x, d, terms, j, first),
+            11 => gather_tile::<11>(dst, x, d, terms, j, first),
+            12 => gather_tile::<12>(dst, x, d, terms, j, first),
+            13 => gather_tile::<13>(dst, x, d, terms, j, first),
+            14 => gather_tile::<14>(dst, x, d, terms, j, first),
+            _ => gather_tile::<15>(dst, x, d, terms, j, first),
         }
     }
 }
 
 /// Output columns `j..j + W` of one row, accumulated in registers over
-/// `terms`.
+/// `terms` from `0.0` (`first`) or from the stored partial sums.
 ///
 /// # Safety
 ///
@@ -286,9 +292,10 @@ unsafe fn gather_tile<const W: usize>(
     d: usize,
     terms: &[(usize, f64)],
     j: usize,
+    first: bool,
 ) {
     let out = &mut dst[j..j + W];
-    let mut acc: [f64; W] = std::array::from_fn(|w| out[w]);
+    let mut acc: [f64; W] = std::array::from_fn(|w| if first { 0.0 } else { out[w] });
     // One range check for the whole term loop: with `j + W <= d` and
     // the caller's `off + d <= x.len()`, each row segment
     // `off + j..off + j + W` lies in `x`.

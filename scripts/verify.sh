@@ -154,6 +154,21 @@ awk '$1 == "counter" && $2 == "runner.profiles_built" { n = $3 }
      END { exit !(n == 1) }' "$SMOKE_DIR/fig14_cold.err" \
     || { echo "verify: cold fig14 did not build exactly one profile"; exit 1; }
 
+echo "== row-sparse GCN smoke (fig16 --quick, GOPIM_NO_CACHE=1) =="
+# Fig. 16's θ sweep trains with ISU staleness, so its epochs must skip
+# the stale rows' combination and backward work: the cold run must
+# print the plain run's stdout byte for byte and report skipped rows.
+cargo run --release --offline -p gopim-bench --bin fig16 -- --quick \
+    > "$SMOKE_DIR/fig16_plain.out"
+GOPIM_NO_CACHE=1 GOPIM_METRICS=1 \
+    cargo run --release --offline -p gopim-bench --bin fig16 -- --quick \
+    > "$SMOKE_DIR/fig16_cold.out" 2> "$SMOKE_DIR/fig16_cold.err"
+diff -u "$SMOKE_DIR/fig16_plain.out" "$SMOKE_DIR/fig16_cold.out" \
+    || { echo "verify: GOPIM_NO_CACHE changed fig16 stdout"; exit 1; }
+awk '$1 == "counter" && $2 == "gcn.isu.rows_skipped" && $3 > 0 { found = 1 }
+     END { exit !found }' "$SMOKE_DIR/fig16_cold.err" \
+    || { echo "verify: cold fig16 skipped no stale GCN rows"; exit 1; }
+
 if ! flag_on "${GOPIM_NO_SERVE:-}"; then
     echo "== serve smoke (loadgen --quick; skip with GOPIM_NO_SERVE=1) =="
     # The job server must survive a mixed burst over the wire protocol:

@@ -133,8 +133,182 @@ fn matmul_is_bit_identical_across_simd_paths_and_thread_counts() {
                 "matmul_into diverged from matmul"
             );
             assert_eq!(bits(&into_on), bits(&into_off), "matmul_into SIMD diverged");
+            // The row-sparse product writes exactly the listed rows,
+            // with the full product's bits, over a dirty buffer.
+            let stride = d.draw("stride", 1usize..5);
+            let rows: Vec<usize> = (0..m).filter(|r| r % stride != 1).collect();
+            let dirty = vals.matrix(m, n);
+            let (rows_on, rows_off) = with_both_paths(|| {
+                pool.install(|| {
+                    let mut out = dirty.clone();
+                    a.matmul_rows_into(&b, &rows, &mut out);
+                    out
+                })
+            });
+            assert_eq!(
+                bits(&rows_on),
+                bits(&rows_off),
+                "matmul_rows_into SIMD diverged"
+            );
+            for r in 0..m {
+                let want = if rows.contains(&r) {
+                    on.row(r)
+                } else {
+                    dirty.row(r)
+                };
+                assert_eq!(
+                    rows_on
+                        .row(r)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "matmul_rows_into row {r} wrong at {m}x{k}x{n}, stride {stride}"
+                );
+            }
         },
     );
+}
+
+#[test]
+fn matmul_tn_matches_the_materialised_transpose_bitwise() {
+    // `aᵀ·b` from the untransposed `a` against `a.transpose().matmul(b)`:
+    // product rows on every residue of the 4-row register tile, widths
+    // on both sides of every column tile (8, 4, 2, 1), and reductions
+    // that are empty, single-term and as long as a GCN layer's `Xᵀ·δ`
+    // (1200 vertices), on both SIMD paths and on pools of 1, 2 and 8
+    // threads. The row-sparse form over every other row must equal the
+    // full product of `b` with the unlisted rows zeroed (exact for the
+    // finite operands drawn here).
+    let pools: Vec<Pool> = [1usize, 2, 8].into_iter().map(Pool::new).collect();
+    let mut vals = Values(0x7e57_0b17);
+    for m in 1..=8usize {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 17, 48] {
+            for k in [0usize, 1, 1200] {
+                let a = vals.matrix(k, m);
+                let b = vals.matrix(k, n);
+                let expect = bits(&a.transpose().matmul(&b));
+                for pool in &pools {
+                    let (on, off) = with_both_paths(|| pool.install(|| a.matmul_tn(&b)));
+                    let threads = pool.threads();
+                    assert_eq!(
+                        bits(&on),
+                        expect,
+                        "matmul_tn {m}x{k}x{n}, {threads} threads"
+                    );
+                    assert_eq!(bits(&off), expect, "scalar matmul_tn {m}x{k}x{n}");
+                }
+                let rows: Vec<usize> = (0..k).filter(|r| r % 2 == 0).collect();
+                let mut b_zeroed = b.clone();
+                for r in (0..k).filter(|r| r % 2 == 1) {
+                    b_zeroed.row_mut(r).fill(0.0);
+                }
+                let expect = bits(&a.transpose().matmul(&b_zeroed));
+                let (on, off) = with_both_paths(|| a.matmul_tn_rows(&b, &rows));
+                assert_eq!(bits(&on), expect, "matmul_tn_rows {m}x{k}x{n}");
+                assert_eq!(bits(&off), expect, "scalar matmul_tn_rows {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+/// The backward pass as it stood before row-sparse epochs: the full
+/// `Pᵀ·δ` with the stale rows zeroed afterwards, `Xᵀ` materialised for
+/// `∇W`, and `δ·Wᵀ` over every row.
+fn dense_gradients(
+    model: &gopim_gcn::GcnModel,
+    graph: &CsrGraph,
+    prop: &dyn Propagation,
+    caches: &gopim_gcn::model::ForwardCaches,
+    mut delta: Matrix,
+) -> Vec<Matrix> {
+    let layers = model.num_layers();
+    let mut grads = vec![Matrix::zeros(0, 0); layers];
+    for l in (0..layers).rev() {
+        if l != layers - 1 {
+            gopim_linalg::ops::hadamard_relu_grad_in_place(&mut delta, caches.pre_activation(l));
+        }
+        let mut d_combined = prop.propagate_transpose(graph, &delta);
+        for v in 0..graph.num_vertices() {
+            if !caches.fresh_rows(l).contains(&v) {
+                d_combined.row_mut(v).fill(0.0);
+            }
+        }
+        grads[l] = caches.input(l).transpose().matmul(&d_combined);
+        if l > 0 {
+            delta = d_combined.matmul(&model.weights()[l].transpose());
+        }
+    }
+    grads
+}
+
+#[test]
+fn row_sparse_gradients_match_the_dense_backward_pass_bitwise() {
+    use gopim_gcn::selective::StaleFeatureCache;
+    use gopim_gcn::GcnModel;
+    use gopim_graph::generate::planted_partition;
+    use gopim_mapping::SelectivePolicy;
+
+    // A planted graph plus three isolated vertices (ids 60..63), which
+    // rank last by degree, so ISU serves them stale after epoch 0.
+    // Vertex 60's features hold an `inf` and vertex 61's a NaN: they
+    // stay out of every other row (no edges), and their stale terms
+    // must still reach `∇W` as they do in the dense product.
+    let (planted, _) = planted_partition(60, 3, 8.0, 6.0, 21);
+    let edges: Vec<(u32, u32)> = planted.edges().collect();
+    let graph = CsrGraph::from_edges(63, &edges);
+    let mut vals = Values(0x9e37_79b9);
+    let mut x = Matrix::from_vec(63, 6, (0..63 * 6).map(|_| vals.next() / 1000.0).collect());
+    x[(60, 2)] = f64::INFINITY;
+    x[(61, 4)] = f64::NAN;
+    let policy = SelectivePolicy::with_theta(0.5, 20);
+    let important = policy.important_vertices(&graph.to_degree_profile());
+    assert!(!important[60] && !important[61] && !important[62]);
+    let delta = Matrix::from_vec(63, 3, (0..63 * 3).map(|_| vals.next() / 1000.0).collect());
+    for prop in [
+        &NormalizedAdjacency::new(&graph) as &dyn Propagation,
+        &MeanAggregator::new() as &dyn Propagation,
+    ] {
+        // A finite model, then ones whose hidden-to-output weights
+        // hold an `inf` or a NaN, which make every row of `δ·Wᵀ`
+        // count (see the next test for a graph where that shows).
+        for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+            let mut weights = GcnModel::new(&[6, 8, 8, 3], 0.02, 5).weights().to_vec();
+            if let Some(p) = poison {
+                weights[2][(1, 1)] = p;
+            }
+            let model = GcnModel::from_weights(weights, 0.02);
+            let mut cache = StaleFeatureCache::new(3, important.clone(), policy);
+            let warm = model.forward_with_caches(&graph, prop, &x, Some(&mut cache), 0);
+            model.recycle_caches(warm);
+            let caches = model.forward_with_caches(&graph, prop, &x, Some(&mut cache), 1);
+            assert!(
+                (0..3).all(|l| caches.fresh_rows(l).len() < 63),
+                "epoch 1 must serve stale rows"
+            );
+            let expect: Vec<Vec<u64>> =
+                dense_gradients(&model, &graph, prop, &caches, delta.clone())
+                    .iter()
+                    .map(bits)
+                    .collect();
+            assert!(
+                expect[0].iter().any(|&b| f64::from_bits(b).is_nan()),
+                "the stale inf/NaN input rows must reach the first layer's ∇W"
+            );
+            let (on, off) = with_both_paths(|| {
+                model
+                    .gradients(&graph, prop, &caches, delta.clone())
+                    .iter()
+                    .map(bits)
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(
+                on, expect,
+                "row-sparse gradients diverged (W poisoned with {poison:?})"
+            );
+            assert_eq!(off, expect, "scalar row-sparse gradients diverged");
+        }
+    }
 }
 
 #[test]
@@ -424,4 +598,46 @@ fn training_trajectory_is_bit_identical_under_simd_toggle() {
         on.1, off.1,
         "final logits diverged between SIMD and scalar paths"
     );
+}
+
+#[test]
+fn a_non_finite_weight_makes_every_delta_row_count() {
+    use gopim_gcn::selective::StaleFeatureCache;
+    use gopim_gcn::GcnModel;
+    use gopim_mapping::SelectivePolicy;
+
+    // Two vertices joined by one edge, one of them stale after epoch 0,
+    // and an infinite output weight. The stale row's `δ_prev` is
+    // `0·inf = NaN` in the dense pass; it reaches the fresh vertex's
+    // `Pᵀ·δ`, whose own term is `+inf`, so the first layer's `∇W` is
+    // NaN, not `+inf`. Writing that row as `+0.0` would change it.
+    let graph = CsrGraph::from_edges(2, &[(0, 1)]);
+    let x = Matrix::from_rows(&[&[1.0], &[1.0]]);
+    let model = GcnModel::from_weights(
+        vec![
+            Matrix::from_rows(&[&[1.0]]),
+            Matrix::from_rows(&[&[f64::INFINITY]]),
+        ],
+        0.02,
+    );
+    let policy = SelectivePolicy::with_theta(0.5, 20);
+    let important = policy.important_vertices(&graph.to_degree_profile());
+    let mut cache = StaleFeatureCache::new(2, important, policy);
+    let norm = NormalizedAdjacency::new(&graph);
+    let warm = model.forward_with_caches(&graph, &norm, &x, Some(&mut cache), 0);
+    model.recycle_caches(warm);
+    let caches = model.forward_with_caches(&graph, &norm, &x, Some(&mut cache), 1);
+    assert_eq!(caches.fresh_rows(0).len(), 1, "one vertex must be stale");
+    let delta = Matrix::from_rows(&[&[1.0], &[1.0]]);
+    let expect: Vec<Vec<u64>> = dense_gradients(&model, &graph, &norm, &caches, delta.clone())
+        .iter()
+        .map(bits)
+        .collect();
+    assert!(f64::from_bits(expect[0][0]).is_nan(), "{expect:?}");
+    let got: Vec<Vec<u64>> = model
+        .gradients(&graph, &norm, &caches, delta)
+        .iter()
+        .map(bits)
+        .collect();
+    assert_eq!(got, expect);
 }
