@@ -24,12 +24,6 @@ pub fn relu_into(x: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Element-wise ReLU derivative evaluated at the *pre-activation* `x`
-/// (1 where `x > 0`, else 0).
-pub fn relu_grad(x: &Matrix) -> Matrix {
-    x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-}
-
 /// Row-wise softmax with the max-subtraction trick for numerical
 /// stability.
 pub fn softmax_rows(x: &Matrix) -> Matrix {
@@ -57,12 +51,6 @@ mod tests {
     fn relu_clamps_negatives() {
         let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
         assert_eq!(relu(&x), Matrix::from_rows(&[&[0.0, 0.0, 2.0]]));
-    }
-
-    #[test]
-    fn relu_grad_is_indicator() {
-        let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        assert_eq!(relu_grad(&x), Matrix::from_rows(&[&[0.0, 0.0, 1.0]]));
     }
 
     #[test]

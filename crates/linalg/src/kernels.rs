@@ -28,7 +28,8 @@
 //! [`matmul_rows_block`] computes only a listed subset of output rows
 //! (the GCN's fresh vertices), and [`matmul_tn_block`] forms `aᵀ × b`
 //! from the untransposed `a`, reducing over a listed subset of rows of
-//! both operands (the GCN's `∇W = Xᵀ·δ`). Neither changes which terms
+//! both operands (the GCN's `∇W = Xᵀ·δ` over its fresh vertices, and
+//! the MLP's over every row of a batch). Neither changes which terms
 //! an output adds or in what order beyond what its list says.
 
 use crate::simd::mac;

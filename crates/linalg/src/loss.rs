@@ -4,30 +4,30 @@ use crate::activation::softmax_rows;
 use crate::Matrix;
 
 /// Mean-squared error between `pred` and `target`, averaged over all
-/// elements, and its gradient with respect to `pred`.
+/// elements; its gradient with respect to `pred` is written into
+/// `grad`, overwriting it. The loss sums the squared differences left
+/// to right in row-major order.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ or `pred` is empty.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+/// Panics if the three shapes differ or `pred` is empty.
+pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "shape mismatch in mse");
+    assert_eq!(grad.shape(), pred.shape(), "gradient shape mismatch in mse");
     let n = pred.as_slice().len();
     assert!(n > 0, "mse of empty matrix");
     let mut loss = 0.0;
-    let grad_data: Vec<f64> = pred
-        .as_slice()
-        .iter()
+    for ((g, &p), &t) in grad
+        .as_mut_slice()
+        .iter_mut()
+        .zip(pred.as_slice())
         .zip(target.as_slice())
-        .map(|(&p, &t)| {
-            let d = p - t;
-            loss += d * d;
-            2.0 * d / n as f64
-        })
-        .collect();
-    (
-        loss / n as f64,
-        Matrix::from_vec(pred.rows(), pred.cols(), grad_data),
-    )
+    {
+        let d = p - t;
+        loss += d * d;
+        *g = 2.0 * d / n as f64;
+    }
+    loss / n as f64
 }
 
 /// Softmax cross-entropy over rows: `logits` is `n × c`, `labels[i]`
@@ -85,6 +85,16 @@ pub fn accuracy(logits: &Matrix, labels: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+        let mut grad = Matrix::from_vec(
+            pred.rows(),
+            pred.cols(),
+            vec![f64::NAN; pred.as_slice().len()],
+        );
+        let loss = mse_into(pred, target, &mut grad);
+        (loss, grad)
+    }
 
     #[test]
     fn mse_zero_at_target() {

@@ -10,13 +10,17 @@ static MATMUL_FLOPS: LazyCounter = LazyCounter::new("linalg.matmul.flops");
 static MATMUL_NS: LazyHistogram = LazyHistogram::new("linalg.matmul.ns");
 
 /// Products below this many multiply-adds (`m·k·n`) run as a single
-/// task. The predictor's MLP runs tens of thousands of small products
-/// (its 32×10×256 and 10×32×256 layer products are 82 K multiply-adds,
-/// its 32×256×1 head 8 K), and a pool hand-off costs more than such a
-/// product. A product inside a run that is itself a pool task (one of
-/// Table V's fanned-out GCN trainings) runs on that task's thread at
-/// any size: that is the pool's nesting rule (`gopim_par::Pool::scope`),
-/// not this threshold's job.
+/// task. The Time Predictor's 10-256-1 MLP runs five products a step,
+/// 8,400 steps a `predictor_fit` pass: the forward 32×10×256 (82 K
+/// multiply-adds) and 32×256×1 (8 K), the weight gradients `Xᵀ·δ`
+/// 10×32×256 (82 K) and 256×32×1 (8 K), and the head's `δ·Wᵀ`, a
+/// 32×1×256 outer product (8 K). A step takes tens of microseconds, and
+/// a pool hand-off costs more than any of these products. Fig. 9's
+/// 256-wide hidden layers run 32×256×256 products (2.1 M), which split
+/// into row blocks. A product inside a run that is itself a pool task
+/// (one of Table V's fanned-out GCN trainings) runs on that task's
+/// thread at any size: that is the pool's nesting rule
+/// (`gopim_par::Pool::scope`), not this threshold's job.
 const PAR_MIN_WORK: usize = 1 << 17;
 
 /// A dense `rows × cols` matrix of `f64`, stored row-major.
@@ -267,20 +271,44 @@ impl Matrix {
     /// `selfᵀ × rhs` summed over the listed rows of both operands only:
     /// output `(i, j)` adds `self[(k, i)]·rhs[(k, j)]` for ascending
     /// `k` in `rows`, so it equals `self.transpose().matmul(rhs)` with
-    /// every unlisted row's terms left out. Row-partitioned over the
-    /// pool like [`Matrix::matmul_into`], with the same bits at every
-    /// thread count. The GCN forms each weight gradient `Xᵀ·δ` this
-    /// way over its fresh vertices.
+    /// every unlisted row's terms left out. The GCN forms each weight
+    /// gradient `Xᵀ·δ` this way over its fresh vertices.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()` or `rows` is not strictly
     /// ascending within `0..self.rows()`.
     pub fn matmul_tn_rows(&self, rhs: &Matrix, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        self.matmul_tn_rows_into(rhs, rows, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn_rows`] written into `out`, overwriting its
+    /// contents. Row-partitioned over the pool like
+    /// [`Matrix::matmul_into`], with the same bits at every thread
+    /// count. The MLP forms each step's `∇W = Xᵀ·δ` this way, over all
+    /// rows of its batch, into a buffer it reuses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`, `out`'s shape is not
+    /// `self.cols() × rhs.cols()`, or `rows` is not strictly ascending
+    /// within `0..self.rows()`.
+    pub fn matmul_tn_rows_into(&self, rhs: &Matrix, rows: &[usize], out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "dimension mismatch: ({}x{})ᵀ × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, rhs.cols),
+            "output shape mismatch: got {}x{}, need {}x{}",
+            out.rows,
+            out.cols,
+            self.cols,
+            rhs.cols
         );
         assert_ascending(rows, self.rows);
         let (m, listed, n) = (self.cols, rows.len(), rhs.cols);
@@ -288,26 +316,49 @@ impl Matrix {
         MATMUL_CALLS.add(1);
         MATMUL_FLOPS.add(2 * (m as u64) * (listed as u64) * (n as u64));
         let _timer = MATMUL_NS.timer();
-        let mut out = Matrix::zeros(m, n);
         if out.data.is_empty() {
-            return out;
+            return;
         }
         let block_rows = block_rows(m, m * listed * n);
         gopim_par::par_chunks_mut(&mut out.data, block_rows * n, |block, chunk| {
             kernels::matmul_tn_block(&self.data, &rhs.data, chunk, m, n, rows, block * block_rows);
         });
-        out
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The transpose written into `out`, overwriting its contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s shape is not `self.cols() × self.rows()`.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, self.rows),
+            "transpose output shape mismatch: got {}x{}, need {}x{}",
+            out.rows,
+            out.cols,
+            self.cols,
+            self.rows
+        );
+        if self.rows == 0 {
+            return;
+        }
+        // Output row `j` is column `j`: every `cols`-th element from `j`.
+        for (j, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
+            for (o, &v) in out_row
+                .iter_mut()
+                .zip(self.data[j..].iter().step_by(self.cols))
+            {
+                *o = v;
             }
         }
-        out
     }
 
     /// Element-wise map.
@@ -419,6 +470,34 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose().shape(), (3, 2));
+    }
+
+    #[test]
+    fn transpose_into_overwrites_a_reused_buffer() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let mut out = Matrix::from_vec(3, 2, vec![9.9; 6]);
+        a.transpose_into(&mut out);
+        assert_eq!(
+            out,
+            Matrix::from_rows(&[&[1.0, 4.0], &[2.0, 5.0], &[3.0, 6.0]])
+        );
+        // A single row or column, and empty shapes.
+        for (r, c) in [(1usize, 5usize), (5, 1), (0, 3), (3, 0)] {
+            let m = Matrix::from_vec(r, c, (0..r * c).map(|i| i as f64).collect());
+            let mut out = Matrix::from_vec(c, r, vec![9.9; r * c]);
+            m.transpose_into(&mut out);
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(out[(j, i)], m[(i, j)]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose output shape mismatch")]
+    fn transpose_into_rejects_wrong_output_shape() {
+        Matrix::zeros(2, 3).transpose_into(&mut Matrix::zeros(2, 3));
     }
 
     #[test]

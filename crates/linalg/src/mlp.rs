@@ -9,10 +9,10 @@ use gopim_rng::rngs::SmallRng;
 use gopim_rng::seq::SliceRandom;
 use gopim_rng::SeedableRng;
 
-use crate::activation::{relu, relu_grad};
+use crate::activation::relu_into;
 use crate::init::xavier_uniform;
-use crate::loss::mse;
-use crate::ops::{add_bias, hadamard, sum_rows};
+use crate::loss::mse_into;
+use crate::ops::{add_bias_in_place, hadamard_relu_grad_in_place, sum_rows_into};
 use crate::optimizer::Adam;
 use crate::Matrix;
 
@@ -117,6 +117,17 @@ impl Mlp {
         &self.config
     }
 
+    /// Each layer's weight matrix (`inputs × outputs`), input layer
+    /// first.
+    pub fn weights(&self) -> &[Matrix] {
+        &self.weights
+    }
+
+    /// Each layer's bias row (`1 × outputs`), input layer first.
+    pub fn biases(&self) -> &[Matrix] {
+        &self.biases
+    }
+
     /// Number of trainable parameters.
     pub fn num_parameters(&self) -> usize {
         self.weights
@@ -132,69 +143,64 @@ impl Mlp {
     ///
     /// Panics if `x.cols()` does not match the input layer width.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        // lint:allow(no-panic-in-lib): MlpConfig construction rejects empty layer lists, so forward() output is non-empty
-        self.forward(x).1.pop().expect("at least one layer")
+        let sizes = &self.config.layer_sizes;
+        let mut pre = zeros_per_layer(x.rows(), &sizes[1..]);
+        let mut act = zeros_per_layer(x.rows(), &sizes[1..sizes.len() - 1]);
+        self.forward(x, &mut pre, &mut act);
+        // lint:allow(no-panic-in-lib): MlpConfig construction rejects empty layer lists, so there is an output layer
+        pre.pop().expect("at least one layer")
     }
 
-    /// Forward pass keeping pre-activations (for backprop).
-    /// Returns `(pre_activations, post_activations)` where
-    /// `post_activations[0]` is the input.
-    fn forward(&self, x: &Matrix) -> (Vec<Matrix>, Vec<Matrix>) {
+    /// Forward pass over `x`, overwriting the buffers: `pre[i]` becomes
+    /// layer `i`'s pre-activation `x_i·W_i + b_i` (the product first,
+    /// then the bias), and `act[i]`, for each hidden layer, its ReLU,
+    /// which is the next layer's input `x_{i+1}`. The output layer is
+    /// linear, so the last `pre` is the network's output.
+    fn forward(&self, x: &Matrix, pre: &mut [Matrix], act: &mut [Matrix]) {
         assert_eq!(x.cols(), self.config.layer_sizes[0], "input width mismatch");
-        let num_layers = self.weights.len();
-        let mut pre = Vec::with_capacity(num_layers);
-        let mut post = Vec::with_capacity(num_layers + 1);
-        post.push(x.clone());
-        for (i, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let z = add_bias(&post[i].matmul(w), b);
-            let a = if i + 1 == num_layers {
-                z.clone()
-            } else {
-                relu(&z)
-            };
-            pre.push(z);
-            post.push(a);
+        for (i, ((w, b), z)) in self.weights.iter().zip(&self.biases).zip(pre).enumerate() {
+            let (inputs, outputs) = act.split_at_mut(i);
+            inputs.last().unwrap_or(x).matmul_into(w, z);
+            add_bias_in_place(z, b);
+            if let Some(a) = outputs.first_mut() {
+                relu_into(z, a);
+            }
         }
-        // Reorder for predict(): post holds activations, last is output.
-        (pre, post.split_off(1))
     }
 
-    /// One gradient step on `(x, y)` with the given Adam optimizers;
-    /// returns the batch MSE.
-    fn step(&mut self, x: &Matrix, y: &Matrix, opts: &mut [(Adam, Adam)]) -> f64 {
-        let num_layers = self.weights.len();
-        // Recompute forward keeping inputs to each layer.
-        let mut inputs = Vec::with_capacity(num_layers);
-        let mut pre = Vec::with_capacity(num_layers);
-        let mut act = x.clone();
-        for (i, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            inputs.push(act.clone());
-            let z = add_bias(&act.matmul(w), b);
-            act = if i + 1 == num_layers {
-                z.clone()
-            } else {
-                relu(&z)
-            };
-            pre.push(z);
-        }
-        let (loss, mut delta) = mse(&act, y);
-        for i in (0..num_layers).rev() {
-            if i + 1 != num_layers {
-                delta = hadamard(&delta, &relu_grad(&pre[i]));
+    /// One gradient step on the batch in `ws` with the given Adam
+    /// optimizers; returns the batch MSE. Every intermediate is written
+    /// into `ws` and `grads`, so the step allocates no matrix.
+    fn step(
+        &mut self,
+        ws: &mut Workspace,
+        grads: &mut [LayerGrads],
+        opts: &mut [(Adam, Adam)],
+    ) -> f64 {
+        self.forward(&ws.x, &mut ws.pre, &mut ws.act);
+        let last = self.weights.len() - 1;
+        let loss = mse_into(&ws.pre[last], &ws.y, &mut ws.delta[last]);
+        for i in (0..=last).rev() {
+            // `delta` is ∂loss/∂pre[i] once the ReLU mask is applied;
+            // `below` holds the lower layers' deltas, the last of which
+            // receives `δ·Wᵀ`.
+            let (below, rest) = ws.delta.split_at_mut(i);
+            let delta = &mut rest[0];
+            if i < last {
+                hadamard_relu_grad_in_place(delta, &ws.pre[i]);
             }
-            let grad_w = inputs[i].transpose().matmul(&delta);
-            let grad_b = sum_rows(&delta);
-            let next_delta = if i > 0 {
-                Some(delta.matmul(&self.weights[i].transpose()))
-            } else {
-                None
-            };
+            let input = if i == 0 { &ws.x } else { &ws.act[i - 1] };
+            let g = &mut grads[i];
+            input.matmul_tn_rows_into(delta, &ws.rows, &mut g.w);
+            sum_rows_into(delta, &mut g.b);
+            if let (Some(next), Some(w_t)) = (below.last_mut(), g.w_t.as_mut()) {
+                // `δ·Wᵀ` reads the weights before this layer's update.
+                self.weights[i].transpose_into(w_t);
+                delta.matmul_into(w_t, next);
+            }
             let (opt_w, opt_b) = &mut opts[i];
-            opt_w.step(&mut self.weights[i], &grad_w);
-            opt_b.step(&mut self.biases[i], &grad_b);
-            if let Some(d) = next_delta {
-                delta = d;
-            }
+            opt_w.step(&mut self.weights[i], &g.w);
+            opt_b.step(&mut self.biases[i], &g.b);
         }
         loss
     }
@@ -202,10 +208,16 @@ impl Mlp {
     /// Trains with Adam + mini-batches for `epochs` epochs; returns the
     /// final epoch's mean batch loss.
     ///
+    /// Each epoch shuffles the rows and steps through them `batch_size`
+    /// at a time; the last batch holds the remainder. The step buffers
+    /// are allocated once here, for the full batch and for the
+    /// remainder, so no step allocates.
+    ///
     /// # Panics
     ///
-    /// Panics if `x` and `y` have different row counts, `batch_size` is
-    /// zero, or widths mismatch the architecture.
+    /// Panics if `x` has no rows, `x` and `y` have different row
+    /// counts, `batch_size` is zero, or widths mismatch the
+    /// architecture.
     pub fn fit(
         &mut self,
         x: &Matrix,
@@ -215,7 +227,9 @@ impl Mlp {
         learning_rate: f64,
     ) -> f64 {
         assert_eq!(x.rows(), y.rows(), "x and y row count mismatch");
+        assert!(x.rows() > 0, "cannot fit on zero rows");
         assert!(batch_size > 0, "batch size must be positive");
+        assert_eq!(x.cols(), self.config.layer_sizes[0], "input width mismatch");
         assert_eq!(
             y.cols(),
             // lint:allow(no-panic-in-lib): layer_sizes is validated non-empty when the config is built
@@ -228,6 +242,16 @@ impl Mlp {
             .map(|_| (Adam::new(learning_rate), Adam::new(learning_rate)))
             .collect();
         let n = x.rows();
+        let full_rows = batch_size.min(n);
+        let mut full = Workspace::new(&self.config, full_rows);
+        let tail_rows = n % full_rows;
+        let mut tail = (tail_rows > 0).then(|| Workspace::new(&self.config, tail_rows));
+        let mut grads: Vec<LayerGrads> = self
+            .weights
+            .iter()
+            .enumerate()
+            .map(|(i, w)| LayerGrads::new(w, i > 0))
+            .collect();
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = SmallRng::seed_from_u64(0x6d6c70);
         let mut last = 0.0;
@@ -244,9 +268,13 @@ impl Mlp {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for chunk in order.chunks(batch_size) {
-                let bx = gather_rows(x, chunk);
-                let by = gather_rows(y, chunk);
-                epoch_loss += self.step(&bx, &by, &mut opts);
+                let ws = match &mut tail {
+                    Some(t) if chunk.len() < full_rows => t,
+                    _ => &mut full,
+                };
+                gather_rows(x, chunk, &mut ws.x);
+                gather_rows(y, chunk, &mut ws.y);
+                epoch_loss += self.step(ws, &mut grads, &mut opts);
                 batches += 1;
             }
             last = epoch_loss / batches as f64;
@@ -255,13 +283,69 @@ impl Mlp {
     }
 }
 
-/// Copies the given rows of `m` into a new matrix.
-fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), m.cols());
+/// The buffers of one training step at one batch size.
+struct Workspace {
+    /// The batch's input rows.
+    x: Matrix,
+    /// The batch's target rows.
+    y: Matrix,
+    /// Per layer, its pre-activation; the last is the network output.
+    pre: Vec<Matrix>,
+    /// Per hidden layer, its ReLU output (the next layer's input).
+    act: Vec<Matrix>,
+    /// Per layer, the loss gradient with respect to its pre-activation.
+    delta: Vec<Matrix>,
+    /// `0..rows`: the row list `∇W = Xᵀ·δ` sums over.
+    rows: Vec<usize>,
+}
+
+impl Workspace {
+    fn new(config: &MlpConfig, rows: usize) -> Self {
+        let sizes = &config.layer_sizes;
+        let outputs = &sizes[1..];
+        Workspace {
+            x: Matrix::zeros(rows, sizes[0]),
+            y: Matrix::zeros(rows, sizes[sizes.len() - 1]),
+            pre: zeros_per_layer(rows, outputs),
+            act: zeros_per_layer(rows, &outputs[..outputs.len() - 1]),
+            delta: zeros_per_layer(rows, outputs),
+            rows: (0..rows).collect(),
+        }
+    }
+}
+
+/// One zeroed `rows × width` matrix per listed width.
+fn zeros_per_layer(rows: usize, widths: &[usize]) -> Vec<Matrix> {
+    widths.iter().map(|&w| Matrix::zeros(rows, w)).collect()
+}
+
+/// One layer's gradient buffers, whose shapes do not depend on the batch
+/// size, so the full and the remainder batch share them.
+struct LayerGrads {
+    /// `∇W = Xᵀ·δ`, `inputs × outputs`.
+    w: Matrix,
+    /// `∇b`, the column sums of `δ`.
+    b: Matrix,
+    /// `Wᵀ`, copied before the layer's update for `δ·Wᵀ`; the input
+    /// layer passes no delta down, so it has none.
+    w_t: Option<Matrix>,
+}
+
+impl LayerGrads {
+    fn new(w: &Matrix, passes_delta_down: bool) -> Self {
+        LayerGrads {
+            w: Matrix::zeros(w.rows(), w.cols()),
+            b: Matrix::zeros(1, w.cols()),
+            w_t: passes_delta_down.then(|| Matrix::zeros(w.cols(), w.rows())),
+        }
+    }
+}
+
+/// Copies the given rows of `m` into `out`, row `i` from row `rows[i]`.
+fn gather_rows(m: &Matrix, rows: &[usize], out: &mut Matrix) {
     for (i, &r) in rows.iter().enumerate() {
         out.row_mut(i).copy_from_slice(m.row(r));
     }
-    out
 }
 
 #[cfg(test)]
@@ -333,6 +417,13 @@ mod tests {
         let mut mlp = Mlp::new(MlpConfig::uniform(1, 16, 1, 4), 5);
         let loss = mlp.fit(&x, &y, 300, 8, 0.01);
         assert!(loss < 1e-2, "final loss {loss}");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit on zero rows")]
+    fn fit_rejects_zero_rows() {
+        let mut mlp = Mlp::new(MlpConfig::new(vec![2, 4, 1]), 0);
+        mlp.fit(&Matrix::zeros(0, 2), &Matrix::zeros(0, 1), 3, 8, 0.01);
     }
 
     #[test]

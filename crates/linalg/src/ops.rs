@@ -51,9 +51,9 @@ pub fn scale(a: &Matrix, s: f64) -> Matrix {
 }
 
 /// In-place `delta ⊙ relu'(pre)`: multiplies each element of `delta`
-/// by 1 where the pre-activation is positive and 0 elsewhere.
-/// Bit-identical to `hadamard(delta, &relu_grad(pre))` without the two
-/// intermediate allocations — the backward pass runs it once per
+/// by `1.0` where the pre-activation is positive and by `0.0`
+/// elsewhere. It multiplies rather than selects, so a masked NaN or
+/// infinite gradient comes out NaN and a masked negative one `-0.0`. The MLP's and the GCN's backward passes run it once per
 /// hidden layer on an `N × d` gradient.
 ///
 /// # Panics
@@ -78,46 +78,54 @@ pub fn hadamard_relu_grad_in_place(delta: &mut Matrix, pre: &Matrix) {
     });
 }
 
-/// Adds row-vector `bias` (1 × cols) to every row of `a`.
+/// Adds row-vector `bias` (1 × cols) to every row of `a`, in place:
+/// each element becomes `a + b` with its column's bias `b`.
 ///
 /// # Panics
 ///
 /// Panics if `bias` is not a single row of matching width.
-pub fn add_bias(a: &Matrix, bias: &Matrix) -> Matrix {
+pub fn add_bias_in_place(a: &mut Matrix, bias: &Matrix) {
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
     assert_eq!(bias.cols(), a.cols(), "bias width mismatch");
-    let mut out = a.clone();
     let cols = a.cols();
     if cols == 0 {
-        return out;
+        return;
     }
-    let elems = out.as_slice().len();
+    let elems = a.as_slice().len();
     let _span = gopim_obs::span!("linalg.add_bias", elems);
     ELEMWISE_CALLS.add(1);
     ELEMWISE_ELEMS.add(elems as u64);
     let brow = bias.row(0);
     // Whole rows per chunk so the bias broadcast never splits a row.
     let chunk_len = (ELEMWISE_CHUNK / cols).max(1) * cols;
-    gopim_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |_, chunk| {
+    gopim_par::par_chunks_mut(a.as_mut_slice(), chunk_len, |_, chunk| {
         for row in chunk.chunks_mut(cols) {
             for (o, &b) in row.iter_mut().zip(brow) {
                 *o += b;
             }
         }
     });
-    out
 }
 
-/// Sums the rows of `a` into a 1 × cols row vector (gradient of a
-/// broadcast bias).
-pub fn sum_rows(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(1, a.cols());
-    for r in 0..a.rows() {
-        for (o, &x) in out.row_mut(0).iter_mut().zip(a.row(r)) {
+/// Sums the rows of `a` into the 1 × cols row vector `out` (gradient of
+/// a broadcast bias), overwriting it: each column starts at `0.0` and
+/// adds the rows top to bottom.
+///
+/// # Panics
+///
+/// Panics if `out` is not a single row as wide as `a`.
+pub fn sum_rows_into(a: &Matrix, out: &mut Matrix) {
+    assert_eq!(out.shape(), (1, a.cols()), "sum_rows output shape mismatch");
+    let out = out.as_mut_slice();
+    out.fill(0.0);
+    if out.is_empty() {
+        return;
+    }
+    for row in a.as_slice().chunks_exact(out.len()) {
+        for (o, &x) in out.iter_mut().zip(row) {
             *o += x;
         }
     }
-    out
 }
 
 /// In-place accumulation `acc += x`.
@@ -176,16 +184,19 @@ mod tests {
 
     #[test]
     fn bias_broadcasts_over_rows() {
-        let a = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]);
+        let mut a = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]);
         let b = Matrix::from_rows(&[&[10.0, 20.0]]);
-        let out = add_bias(&a, &b);
-        assert_eq!(out, Matrix::from_rows(&[&[10.0, 20.0], &[11.0, 21.0]]));
+        add_bias_in_place(&mut a, &b);
+        assert_eq!(a, Matrix::from_rows(&[&[10.0, 20.0], &[11.0, 21.0]]));
     }
 
     #[test]
     fn sum_rows_is_bias_gradient() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(sum_rows(&a), Matrix::from_rows(&[&[4.0, 6.0]]));
+        // A dirty output is overwritten, not accumulated into.
+        let mut out = Matrix::from_rows(&[&[9.0, -9.0]]);
+        sum_rows_into(&a, &mut out);
+        assert_eq!(out, Matrix::from_rows(&[&[4.0, 6.0]]));
     }
 
     #[test]

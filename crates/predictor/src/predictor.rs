@@ -19,6 +19,7 @@ use crate::features::{stage_features, Normalizer, NUM_FEATURES};
 pub struct TimePredictor {
     mlp: Mlp,
     norm: Normalizer,
+    final_loss: f64,
 }
 
 impl TimePredictor {
@@ -46,13 +47,28 @@ impl TimePredictor {
         let y = Matrix::from_vec(samples.y.len(), 1, samples.y.clone());
         let config = MlpConfig::uniform(NUM_FEATURES, hidden, 1, depth);
         let mut mlp = Mlp::new(config, seed);
-        mlp.fit(&x, &y, epochs, 32, 5e-3);
-        TimePredictor { mlp, norm }
+        let final_loss = mlp.fit(&x, &y, epochs, 32, 5e-3);
+        TimePredictor {
+            mlp,
+            norm,
+            final_loss,
+        }
     }
 
     /// Trains the paper's selected configuration (10-256-1).
     pub fn train_paper(samples: &SampleSet, epochs: usize, seed: u64) -> Self {
         Self::train(samples, 3, 256, epochs, seed)
+    }
+
+    /// The trained network, which maps normalized features to
+    /// normalized log-time targets.
+    pub fn mlp(&self) -> &Mlp {
+        &self.mlp
+    }
+
+    /// The last training epoch's mean batch MSE, on normalized targets.
+    pub fn final_loss(&self) -> f64 {
+        self.final_loss
     }
 
     /// Predicts normalized log-time targets for raw feature rows.

@@ -2,8 +2,10 @@
 # Perf ratchet: run the curated smoke-bench suite (the linalg and
 # sparse-aggregation kernels at square, MLP and GCN-training shapes,
 # one GCN training epoch, degree-profile generation and ranking, the
-# Time Predictor's sample generation, inference and training, the
-# workload build, and the runner's warm memo working set — fast,
+# Time Predictor's sample generation, inference and training (ten
+# epochs of a 64-wide net; 30 epochs of the paper's 10-256-1 predictor
+# at `predictor_fit`'s 868 rows, tail batch included), the workload
+# build, and the runner's warm memo working set — fast,
 # single-process, scheduler-light) and
 # compare it against the committed baseline with `gopim bench-diff
 # --ratchet`. Mirrors the lint ratchet: the baseline is a

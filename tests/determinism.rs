@@ -97,9 +97,10 @@ fn different_seeds_produce_different_workloads() {
 
 /// The parallel runtime's contract: the pool size must not change a
 /// single bit anywhere. One snapshot covers the hot paths — dense
-/// matmul, sparse propagation, a fanned-out DES sweep, and GCN
-/// trainings fanned out with their kernels nested under the fan-out —
-/// computed under a 1-thread pool and an 8-thread pool.
+/// matmul, sparse propagation, a fanned-out DES sweep, GCN trainings
+/// fanned out with their kernels nested under the fan-out, and an MLP
+/// fit whose products split over the pool — computed under a 1-thread
+/// pool and an 8-thread pool.
 ///
 /// (`scripts/verify.sh` covers the environment side by running the
 /// whole suite under `GOPIM_THREADS=1` and again at the default.)
@@ -111,7 +112,7 @@ fn thread_count_never_changes_any_bits() {
     use gopim_gcn::train::{train_gcn, TrainOptions};
     use gopim_graph::generate::planted_partition;
     use gopim_graph::CsrGraph;
-    use gopim_linalg::Matrix;
+    use gopim_linalg::{Matrix, Mlp, MlpConfig};
     use gopim_mapping::SelectivePolicy;
     use gopim_par::Pool;
 
@@ -178,7 +179,23 @@ fn thread_count_never_changes_any_bits() {
                 r.final_loss.to_bits(),
             ]
         });
-        (mm, prop, des, train)
+        // A 10-256-256-1 MLP fit, called from the top level: its
+        // 32×256×256 products (forward, `∇W` and `δ·Wᵀ`) cross
+        // matmul's one-task threshold and split over the pool; 40 rows
+        // leave an 8-row tail batch.
+        let mlp_x = Matrix::from_vec(
+            40,
+            10,
+            (0..400).map(|i| ((i as f64) * 0.29).sin()).collect(),
+        );
+        let mlp_y = Matrix::from_vec(40, 1, (0..40).map(|i| ((i as f64) * 0.71).cos()).collect());
+        let mut mlp = Mlp::new(MlpConfig::new(vec![10, 256, 256, 1]), 13);
+        let mut fit = vec![mlp.fit(&mlp_x, &mlp_y, 2, 32, 0.01).to_bits()];
+        for m in mlp.weights().iter().chain(mlp.biases()) {
+            fit.extend(bits(m));
+        }
+        fit.extend(bits(&mlp.predict(&mlp_x)));
+        (mm, prop, des, train, fit)
     };
     let serial = Pool::new(1).install(snapshot);
     let par = Pool::new(8).install(snapshot);
@@ -191,6 +208,10 @@ fn thread_count_never_changes_any_bits() {
     assert_eq!(
         serial.3, par.3,
         "nested GCN training bits changed with thread count"
+    );
+    assert_eq!(
+        serial.4, par.4,
+        "MLP training bits changed with thread count"
     );
 }
 

@@ -328,3 +328,107 @@ fn golden_gcn_training_bits() {
     r.table(&["cell", "accuracy", "test_accuracy", "final_loss"], &rows);
     golden::check_with_tolerance("gcn_training_bits", &r.render(), 0.0);
 }
+
+/// Time Predictor training bits: `to_bits()` of the final loss, a
+/// digest of every parameter's bits and the predictions on a probe set,
+/// for the paper's 10-256-1 predictor (trained through
+/// `TimePredictor::train_paper` on a sample set whose row count leaves
+/// a tail batch) and for `Mlp` cells at depth 2 (no hidden layer),
+/// depth 5, hidden width 1, two outputs and a batch larger than the row
+/// count. The parameter digest is FNV-1a over each weight's and bias's
+/// `to_bits()`, layer by layer, weights row-major, so a change to any
+/// single bit of any parameter changes it; listing the 3,073 paper
+/// parameters one by one would make the snapshot 60 KB. Compared
+/// exactly.
+#[test]
+fn golden_predictor_training_bits() {
+    use gopim_linalg::{Matrix, Mlp, MlpConfig};
+    use gopim_predictor::dataset_gen::generate_samples;
+    use gopim_predictor::TimePredictor;
+
+    let hex = |v: f64| format!("{:#018x}", v.to_bits());
+    let digest = |mlp: &Mlp| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (w, b) in mlp.weights().iter().zip(mlp.biases()) {
+            for v in w.as_slice().iter().chain(b.as_slice()) {
+                for byte in v.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        format!("{h:#018x}")
+    };
+    let mut cells: Vec<Vec<String>> = Vec::new();
+    let mut predictions: Vec<Vec<String>> = Vec::new();
+    let mut record = |cell: &str, mlp: &Mlp, loss: f64, pred: &Matrix| {
+        cells.push(vec![
+            cell.into(),
+            hex(loss),
+            mlp.num_parameters().to_string(),
+            digest(mlp),
+        ]);
+        for r in 0..pred.rows() {
+            let row: Vec<String> = pred.row(r).iter().map(|&v| hex(v)).collect();
+            predictions.push(vec![cell.into(), r.to_string(), row.join(",")]);
+        }
+    };
+
+    // The paper's predictor, through the production training entry.
+    let samples = generate_samples(40, 23);
+    assert_ne!(
+        samples.len() % 32,
+        0,
+        "the sample set must leave a tail batch"
+    );
+    let probe = generate_samples(4, 29);
+    let predictor = TimePredictor::train_paper(&samples, 4, 31);
+    let pred = predictor.predict_normalized(&probe.x);
+    record(
+        &format!("train_paper/{}rows", samples.len()),
+        predictor.mlp(),
+        predictor.final_loss(),
+        &Matrix::from_vec(pred.len(), 1, pred),
+    );
+
+    // Small `Mlp` cells on a fixed smooth, nonlinear regression task:
+    // 37 rows, so a batch of 8 leaves a 5-row tail.
+    let rows = 37;
+    let feature = |i: usize, j: usize| ((i * 7 + j * 3) as f64 * 0.37).sin();
+    let x = Matrix::from_vec(
+        rows,
+        4,
+        (0..rows * 4).map(|e| feature(e / 4, e % 4)).collect(),
+    );
+    let target = |r: &[f64], o: usize| r[0] * r[1] - 0.5 * r[2] + (o as f64 + 1.0) * r[3].abs();
+    let probe = Matrix::from_vec(5, 4, (0..20).map(|e| feature(e / 4 + 100, e % 4)).collect());
+    for (cell, sizes, batch, epochs) in [
+        ("mlp/depth2", vec![4, 1], 8, 30),
+        ("mlp/depth5", vec![4, 12, 12, 12, 1], 8, 12),
+        ("mlp/hidden1", vec![4, 1, 1], 8, 30),
+        ("mlp/outputs2", vec![4, 16, 2], 8, 20),
+        ("mlp/batch64_over_37rows", vec![4, 16, 1], 64, 40),
+    ] {
+        let outputs = *sizes.last().unwrap();
+        let y = Matrix::from_vec(
+            rows,
+            outputs,
+            (0..rows * outputs)
+                .map(|e| target(x.row(e / outputs), e % outputs))
+                .collect(),
+        );
+        let mut mlp = Mlp::new(MlpConfig::new(sizes), 41);
+        let loss = mlp.fit(&x, &y, epochs, batch, 0.01);
+        record(cell, &mlp, loss, &mlp.predict(&probe));
+    }
+
+    let mut r = Report::new();
+    r.section("predictor_training_bits");
+    r.table(
+        &["cell", "final_loss", "parameters", "parameter_fnv1a"],
+        &cells,
+    );
+    r.blank();
+    r.section("predictions");
+    r.table(&["cell", "probe_row", "outputs"], &predictions);
+    golden::check_with_tolerance("predictor_training_bits", &r.render(), 0.0);
+}

@@ -179,7 +179,8 @@ fn matmul_tn_matches_the_materialised_transpose_bitwise() {
     // (1200 vertices), on both SIMD paths and on pools of 1, 2 and 8
     // threads. The row-sparse form over every other row must equal the
     // full product of `b` with the unlisted rows zeroed (exact for the
-    // finite operands drawn here).
+    // finite operands drawn here), allocated or written over a dirty
+    // buffer.
     let pools: Vec<Pool> = [1usize, 2, 8].into_iter().map(Pool::new).collect();
     let mut vals = Values(0x7e57_0b17);
     for m in 1..=8usize {
@@ -207,6 +208,10 @@ fn matmul_tn_matches_the_materialised_transpose_bitwise() {
                 let (on, off) = with_both_paths(|| a.matmul_tn_rows(&b, &rows));
                 assert_eq!(bits(&on), expect, "matmul_tn_rows {m}x{k}x{n}");
                 assert_eq!(bits(&off), expect, "scalar matmul_tn_rows {m}x{k}x{n}");
+                // The in-place form overwrites a dirty output.
+                let mut into = vals.matrix(m, n);
+                a.matmul_tn_rows_into(&b, &rows, &mut into);
+                assert_eq!(bits(&into), expect, "matmul_tn_rows_into {m}x{k}x{n}");
             }
         }
     }
@@ -308,6 +313,268 @@ fn row_sparse_gradients_match_the_dense_backward_pass_bitwise() {
             );
             assert_eq!(off, expect, "scalar row-sparse gradients diverged");
         }
+    }
+}
+
+/// `Mlp::fit` as it stood before its step ran in a workspace: every
+/// step clones the batch and each layer input, transposes the input and
+/// the weight by indexing, and allocates every intermediate (`add_bias`,
+/// `relu`, `relu_grad`, `hadamard`, `mse`, `sum_rows`). The workspace
+/// step is pinned against it bit for bit.
+mod allocating_mlp {
+    use gopim_linalg::activation::relu;
+    use gopim_linalg::ops::hadamard;
+    use gopim_linalg::optimizer::Adam;
+    use gopim_linalg::Matrix;
+    use gopim_rng::rngs::SmallRng;
+    use gopim_rng::seq::SliceRandom;
+    use gopim_rng::SeedableRng;
+
+    fn add_bias(a: &Matrix, bias: &Matrix) -> Matrix {
+        let mut out = a.clone();
+        for r in 0..out.rows() {
+            for (o, &b) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
+                *o += b;
+            }
+        }
+        out
+    }
+
+    fn relu_grad(x: &Matrix) -> Matrix {
+        x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
+    }
+
+    fn sum_rows(a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(1, a.cols());
+        for r in 0..a.rows() {
+            for (o, &x) in out.row_mut(0).iter_mut().zip(a.row(r)) {
+                *o += x;
+            }
+        }
+        out
+    }
+
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                out[(j, i)] = m[(i, j)];
+            }
+        }
+        out
+    }
+
+    fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+        let n = pred.as_slice().len();
+        let mut loss = 0.0;
+        let grad: Vec<f64> = pred
+            .as_slice()
+            .iter()
+            .zip(target.as_slice())
+            .map(|(&p, &t)| {
+                let d = p - t;
+                loss += d * d;
+                2.0 * d / n as f64
+            })
+            .collect();
+        (
+            loss / n as f64,
+            Matrix::from_vec(pred.rows(), pred.cols(), grad),
+        )
+    }
+
+    fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), m.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(m.row(r));
+        }
+        out
+    }
+
+    /// The network's output for each row of `x`.
+    pub fn predict(weights: &[Matrix], biases: &[Matrix], x: &Matrix) -> Matrix {
+        let mut act = x.clone();
+        for (i, (w, b)) in weights.iter().zip(biases).enumerate() {
+            let z = add_bias(&act.matmul(w), b);
+            act = if i + 1 == weights.len() { z } else { relu(&z) };
+        }
+        act
+    }
+
+    fn step(
+        weights: &mut [Matrix],
+        biases: &mut [Matrix],
+        x: &Matrix,
+        y: &Matrix,
+        opts: &mut [(Adam, Adam)],
+    ) -> f64 {
+        let num_layers = weights.len();
+        let mut inputs = Vec::with_capacity(num_layers);
+        let mut pre = Vec::with_capacity(num_layers);
+        let mut act = x.clone();
+        for (i, (w, b)) in weights.iter().zip(biases.iter()).enumerate() {
+            inputs.push(act.clone());
+            let z = add_bias(&act.matmul(w), b);
+            act = if i + 1 == num_layers {
+                z.clone()
+            } else {
+                relu(&z)
+            };
+            pre.push(z);
+        }
+        let (loss, mut delta) = mse(&act, y);
+        for i in (0..num_layers).rev() {
+            if i + 1 != num_layers {
+                delta = hadamard(&delta, &relu_grad(&pre[i]));
+            }
+            let grad_w = transpose(&inputs[i]).matmul(&delta);
+            let grad_b = sum_rows(&delta);
+            let next_delta = (i > 0).then(|| delta.matmul(&transpose(&weights[i])));
+            let (opt_w, opt_b) = &mut opts[i];
+            opt_w.step(&mut weights[i], &grad_w);
+            opt_b.step(&mut biases[i], &grad_b);
+            if let Some(d) = next_delta {
+                delta = d;
+            }
+        }
+        loss
+    }
+
+    pub fn fit(
+        weights: &mut [Matrix],
+        biases: &mut [Matrix],
+        x: &Matrix,
+        y: &Matrix,
+        epochs: usize,
+        batch_size: usize,
+        learning_rate: f64,
+    ) -> f64 {
+        let mut opts: Vec<(Adam, Adam)> = weights
+            .iter()
+            .map(|_| (Adam::new(learning_rate), Adam::new(learning_rate)))
+            .collect();
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut rng = SmallRng::seed_from_u64(0x6d6c70);
+        let mut last = 0.0;
+        for epoch in 0..epochs {
+            let progress = epoch as f64 / epochs.max(1) as f64;
+            let lr = learning_rate
+                * (0.02 + 0.98 * 0.5 * (1.0 + (std::f64::consts::PI * progress).cos()));
+            for (w, b) in opts.iter_mut() {
+                w.set_learning_rate(lr);
+                b.set_learning_rate(lr);
+            }
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            let mut batches = 0;
+            for chunk in order.chunks(batch_size) {
+                let bx = gather_rows(x, chunk);
+                let by = gather_rows(y, chunk);
+                epoch_loss += step(weights, biases, &bx, &by, &mut opts);
+                batches += 1;
+            }
+            last = epoch_loss / batches as f64;
+        }
+        last
+    }
+}
+
+/// Fits `sizes` on `rows` rows drawn from `seed` with both `Mlp::fit`
+/// (SIMD on and off, on a pool of `threads`) and the allocating
+/// reference, and asserts the final loss, every parameter and the
+/// predictions agree bit for bit.
+fn assert_mlp_fit_matches_reference(
+    sizes: &[usize],
+    rows: usize,
+    batch: usize,
+    epochs: usize,
+    threads: usize,
+    seed: u64,
+) {
+    use gopim_linalg::{Mlp, MlpConfig};
+    let what = format!("{sizes:?}, {rows} rows, batch {batch}, {epochs} epochs, {threads} threads");
+    let mut vals = Values(seed);
+    // Inputs and targets of order 1, so training moves the weights.
+    let mut small = |r: usize, c: usize| {
+        Matrix::from_vec(r, c, (0..r * c).map(|_| vals.next() / 1000.0).collect())
+    };
+    let x = small(rows, sizes[0]);
+    let y = small(rows, sizes[sizes.len() - 1]);
+    let init = Mlp::new(MlpConfig::new(sizes.to_vec()), seed);
+    let mut weights = init.weights().to_vec();
+    let mut biases = init.biases().to_vec();
+    let loss = allocating_mlp::fit(&mut weights, &mut biases, &x, &y, epochs, batch, 0.01);
+    let params =
+        |w: &[Matrix], b: &[Matrix]| -> Vec<Vec<u64>> { w.iter().chain(b).map(bits).collect() };
+    let expect = (
+        loss.to_bits(),
+        params(&weights, &biases),
+        bits(&allocating_mlp::predict(&weights, &biases, &x)),
+    );
+    let pool = Pool::new(threads);
+    let (on, off) = with_both_paths(|| {
+        pool.install(|| {
+            let mut mlp = init.clone();
+            let loss = mlp.fit(&x, &y, epochs, batch, 0.01);
+            (
+                loss.to_bits(),
+                params(mlp.weights(), mlp.biases()),
+                bits(&mlp.predict(&x)),
+            )
+        })
+    });
+    assert_eq!(
+        on, expect,
+        "Mlp::fit diverged from the allocating step: {what}"
+    );
+    assert_eq!(
+        off, expect,
+        "scalar Mlp::fit diverged from the allocating step: {what}"
+    );
+}
+
+#[test]
+fn mlp_fit_matches_the_allocating_step_bitwise() {
+    check_with(
+        "mlp_fit_matches_the_allocating_step_bitwise",
+        Config::cases(24),
+        |d| {
+            // Depths 2–6 (paper counting) and widths 1–300, so the hidden
+            // products reach past `PAR_MIN_WORK` and split over a
+            // 4-thread pool; a row count of whole batches plus a tail
+            // of 0 (none) to batch − 1, or a single batch smaller than
+            // `batch`.
+            let depth = d.draw("depth", 2usize..7);
+            let width = d.draw("width", 1usize..301);
+            let inputs = d.draw("inputs", 1usize..12);
+            let outputs = d.draw("outputs", 1usize..3);
+            let batch = d.draw("batch", 1usize..17);
+            let full_batches = d.draw("full_batches", 0usize..3);
+            let tail = d.draw("tail", 0usize..batch);
+            let epochs = d.draw("epochs", 1usize..3);
+            let threads = d.pick("threads", &[1usize, 4]);
+            let seed = d.draw("seed", 1u64..u64::MAX);
+            let rows = (full_batches * batch + tail).max(1);
+            let mut sizes = vec![inputs];
+            sizes.extend(std::iter::repeat_n(width, depth - 2));
+            sizes.push(outputs);
+            assert_mlp_fit_matches_reference(&sizes, rows, batch, epochs, threads, seed);
+        },
+    );
+}
+
+#[test]
+fn mlp_fit_matches_the_allocating_step_at_every_tail_length() {
+    // The paper's batch of 32 with every tail batch from 1 to 31 rows
+    // behind one full batch, cycling through depths 2–6 and narrow to
+    // wide hidden layers, so each remainder-batch workspace runs.
+    for tail in 1..32usize {
+        let depth = 2 + tail % 5;
+        let width = [1usize, 3, 8, 17, 40][tail % 5];
+        let mut sizes = vec![10];
+        sizes.extend(std::iter::repeat_n(width, depth - 2));
+        sizes.push(1);
+        assert_mlp_fit_matches_reference(&sizes, 32 + tail, 32, 2, 1, 0x5eed + tail as u64);
     }
 }
 
