@@ -9,10 +9,18 @@ use gopim_testkit::bench::Runner;
 
 fn main() {
     let mut runner = Runner::new("graph");
-    // ddi: short runs (scan path, serve_mix's hot key); collab: fractional
-    // cap (run counts settled against the rounding bound); products: the
-    // 2.45 M-vertex integral-cap run path.
-    for dataset in [Dataset::Ddi, Dataset::Collab, Dataset::Products] {
+    // ddi: short runs (2·cap > n, serve_mix's hot key); collab: a
+    // fractional cap (counts settled against the rounding bound);
+    // proteins: cap 35,820, the costliest calibration per vertex; ppa:
+    // 576 K vertices at exponent 1.0; products: 2.45 M vertices, the
+    // largest weight table.
+    for dataset in [
+        Dataset::Ddi,
+        Dataset::Collab,
+        Dataset::Proteins,
+        Dataset::Ppa,
+        Dataset::Products,
+    ] {
         let name = dataset.name();
         runner.bench(&format!("profile/{name}"), || dataset.profile(7));
     }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Perf ratchet: run the curated smoke-bench suite (the linalg and
 # sparse-aggregation kernels at square, MLP and GCN-training shapes,
-# one GCN training epoch, degree-profile generation and ranking, the
+# one GCN training epoch, degree-profile generation (ddi, collab,
+# proteins — cap 35,820, the costliest calibration per vertex — ppa,
+# products and one predictor-sized draw) and ranking, the
 # Time Predictor's sample generation, inference and training (ten
 # epochs of a 64-wide net; 30 epochs of the paper's 10-256-1 predictor
 # at `predictor_fit`'s 868 rows, tail batch included), the workload

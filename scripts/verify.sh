@@ -4,7 +4,8 @@
 # as errors, the full test suite (unit + property + integration +
 # golden snapshot diffs) twice — once serial (GOPIM_THREADS=1) and once
 # at the default pool size, so any thread-count-dependent result fails
-# the run — and makes sure every bench target still compiles.
+# the run — then the bitwise suites once more on the release build, and
+# makes sure every bench target still compiles.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +40,15 @@ echo "== cargo test --offline, GOPIM_NO_SIMD=1 (baseline-ISA build of the kernel
 # harness included — must pass on the baseline-ISA build of the same
 # kernels as well as on the AVX2 build.
 GOPIM_NO_SIMD=1 cargo test -q --offline --workspace
+
+echo "== cargo test --release --offline (bitwise suites on optimized code) =="
+# The legs above run debug builds, while every experiment and benchmark
+# runs optimized code, which may arrange floating-point work differently:
+# the bitwise differential, golden and determinism suites must also hold
+# on the release build.
+cargo test -q --release --offline -p gopim-graph --test profile_differential
+cargo test -q --release --offline -p gopim \
+    --test kernel_equivalence --test golden_paper --test determinism
 
 echo "== bench targets compile =="
 cargo build --offline --benches -p gopim-bench

@@ -55,6 +55,19 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`] with every NaN mapped to one canonical pattern. Rust leaves
+/// the sign and payload of a NaN that arithmetic produces unspecified,
+/// so two orderings of the same adds may yield NaNs that differ only in
+/// their sign bit, depending on how the optimizer arranged each. A NaN
+/// must still sit exactly where the reference has one, and every other
+/// value keeps all its bits.
+fn canonical_bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice()
+        .iter()
+        .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+        .collect()
+}
+
 /// The textbook product: one running sum per output, starting at 0.0
 /// and adding `a[i][k]·b[k][j]` for ascending `k`, fused only on builds
 /// with the `fma` target feature (the kernels' rounding policy).
@@ -294,7 +307,7 @@ fn row_sparse_gradients_match_the_dense_backward_pass_bitwise() {
             let expect: Vec<Vec<u64>> =
                 dense_gradients(&model, &graph, prop, &caches, delta.clone())
                     .iter()
-                    .map(bits)
+                    .map(canonical_bits)
                     .collect();
             assert!(
                 expect[0].iter().any(|&b| f64::from_bits(b).is_nan()),
@@ -304,7 +317,7 @@ fn row_sparse_gradients_match_the_dense_backward_pass_bitwise() {
                 model
                     .gradients(&graph, prop, &caches, delta.clone())
                     .iter()
-                    .map(bits)
+                    .map(canonical_bits)
                     .collect::<Vec<_>>()
             });
             assert_eq!(
