@@ -12,15 +12,38 @@ fn main() {
     let mut runner = Runner::new("pipeline");
     // The build alone (profile generated once, outside the timing) for
     // a GoPIM cell on products: interleaved mapping and selective
-    // updating rank the 2.45 M vertices twice and pace 38 k micro-batches.
+    // updating, both from one ranking of the 2.45 M vertices, pacing
+    // 38 k micro-batches. `products-index` is the index-based,
+    // update-all build of the Serial, SlimGNN-like, ReGraphX, ReFlip
+    // and GoPIM-Vanilla cells, which ranks nothing; `ppa` is a GoPIM
+    // build at the size of the chip-budget sweep's dataset.
     let products = Dataset::Products.profile(7);
-    let gopim = WorkloadOptions {
+    let gopim = |profile| WorkloadOptions {
         mapping: MappingKind::Interleaved,
-        selective: Some(SelectivePolicy::adaptive(&products)),
+        selective: Some(SelectivePolicy::adaptive(profile)),
         ..WorkloadOptions::default()
     };
+    let products_gopim = gopim(&products);
     runner.bench("build_workload/products", || {
-        GcnWorkload::build_custom("products", &products, &Dataset::Products.model(), &gopim)
+        GcnWorkload::build_custom(
+            "products",
+            &products,
+            &Dataset::Products.model(),
+            &products_gopim,
+        )
+    });
+    runner.bench("build_workload/products-index", || {
+        GcnWorkload::build_custom(
+            "products",
+            &products,
+            &Dataset::Products.model(),
+            &WorkloadOptions::default(),
+        )
+    });
+    let ppa = Dataset::Ppa.profile(7);
+    let ppa_gopim = gopim(&ppa);
+    runner.bench("build_workload/ppa", || {
+        GcnWorkload::build_custom("ppa", &ppa, &Dataset::Ppa.model(), &ppa_gopim)
     });
     for dataset in [Dataset::Ddi, Dataset::Collab] {
         let name = dataset.name();

@@ -235,9 +235,26 @@ fn system_profile<'a>(
         profile
             .degrees()
             .iter()
-            .map(|&d| ((f64::from(d) * retain).round() as u32).max(1))
+            .map(|&d| round_to_u32(f64::from(d) * retain).max(1))
             .collect(),
     ))
+}
+
+/// `x.round() as u32`, inline: `f64::round` is an out-of-line call on
+/// the baseline x86-64 target, once per degree of the pruned profile.
+/// For `0 ≤ x < 2^52` the integer part fits an `i64`, converts back
+/// exactly, and leaves the exact fraction `x − ⌊x⌋`; rounding up from
+/// ½ is then `round`'s half-away-from-zero. Every other input (negative,
+/// NaN, infinite, huge) takes `round` itself; both saturate as `as u32`.
+#[inline]
+fn round_to_u32(x: f64) -> u32 {
+    const EXACT_BELOW: f64 = 4_503_599_627_370_496.0; // 2^52
+    if (0.0..EXACT_BELOW).contains(&x) {
+        let whole = x as i64;
+        let rounded = whole + i64::from(x - whole as f64 >= 0.5);
+        return u32::try_from(rounded).unwrap_or(u32::MAX);
+    }
+    x.round() as u32
 }
 
 /// Builds the workload options a system implies for a dataset profile.
@@ -511,6 +528,32 @@ struct ProfileGroup {
     slots: Vec<usize>,
 }
 
+/// The profile groups of a sweep's unique cells (`unique[slot]` is
+/// the cell index of each), in dispatch order: the largest dataset
+/// first, so its long cells start at once instead of after every
+/// smaller group, and groups of equal size (one dataset at several
+/// profile seeds) in order of first appearance.
+fn profile_groups(cells: &[Cell], unique: &[usize]) -> Vec<ProfileGroup> {
+    let mut groups: Vec<ProfileGroup> = Vec::new();
+    for (slot, &i) in unique.iter().enumerate() {
+        let (dataset, seed) = (cells[i].dataset, cells[i].config.profile_seed);
+        match groups
+            .iter_mut()
+            .find(|g| g.dataset == dataset && g.seed == seed)
+        {
+            Some(group) => group.slots.push(slot),
+            None => groups.push(ProfileGroup {
+                dataset,
+                seed,
+                slots: vec![slot],
+            }),
+        }
+    }
+    // Stable: ties keep their first-appearance order.
+    groups.sort_by_key(|g| std::cmp::Reverse(g.dataset.stats().num_vertices));
+    groups
+}
+
 /// Runs a sweep of cells, each bitwise identical to a standalone
 /// [`run_system`] or [`run_ablation`] call, and returns the results in
 /// input order. Identical requests (equal canonical keys) are run once
@@ -519,10 +562,14 @@ struct ProfileGroup {
 ///
 /// The unique cells are grouped by `(dataset, profile seed)`, and each
 /// group is one `gopim-par` task that runs its cells in input order on
-/// one degree profile. The profile is built on the group's first cache
-/// miss — a group whose cells all hit builds none — and dropped when
-/// the group ends, so no profile outlives its group and under
-/// `GOPIM_NO_CACHE=1` nothing is reused across calls.
+/// one degree profile. Groups are handed to the pool largest dataset
+/// first (ties in order of first appearance), so a sweep's
+/// million-vertex cells run alongside the small groups rather than
+/// after them; results still come back in input order. The profile is
+/// built on the group's first cache miss — a group whose cells all hit
+/// builds none — and dropped when the group ends, so no profile
+/// outlives its group and under `GOPIM_NO_CACHE=1` nothing is reused
+/// across calls.
 pub fn run_sweep(cells: &[Cell]) -> Vec<SystemRun> {
     // Dedup identical requests by canonical key; uncacheable cells
     // (`None` key) always run individually.
@@ -561,22 +608,7 @@ pub fn run_sweep(cells: &[Cell]) -> Vec<SystemRun> {
     if unique.len() < cells.len() {
         SWEEP_DEDUP.add((cells.len() - unique.len()) as u64);
     }
-    // Groups in order of first appearance.
-    let mut groups: Vec<ProfileGroup> = Vec::new();
-    for (slot, &i) in unique.iter().enumerate() {
-        let (dataset, seed) = (cells[i].dataset, cells[i].config.profile_seed);
-        match groups
-            .iter_mut()
-            .find(|g| g.dataset == dataset && g.seed == seed)
-        {
-            Some(group) => group.slots.push(slot),
-            None => groups.push(ProfileGroup {
-                dataset,
-                seed,
-                slots: vec![slot],
-            }),
-        }
-    }
+    let groups = profile_groups(cells, &unique);
     let group_runs = gopim_par::par_map(&groups, |group| {
         let mut profile: Option<Arc<DegreeProfile>> = None;
         group
@@ -962,6 +994,126 @@ mod tests {
         let stages = 4 * model.num_layers;
         let microbatches = 4_267usize.div_ceil(config.micro_batch);
         assert!(workload_weight(&workload) >= 8 * stages * microbatches);
+    }
+
+    /// A run's encoded bytes: equal bytes are equal bits.
+    fn run_bytes(run: &SystemRun) -> Vec<u8> {
+        let mut e = Encoder::new();
+        run.encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn inline_rounding_matches_round() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut inputs = vec![
+            // Ties round away from zero; just below ½ rounds down.
+            0.5,
+            1.5,
+            2.5,
+            1_000_000.5,
+            0.5 - f64::EPSILON / 4.0,
+            1.5 - f64::EPSILON,
+            0.0,
+            1.0,
+            // The exact-range boundary.
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 + 2.0,
+            // Subnormals and the smallest normal.
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            // Negative inputs, NaN and infinities.
+            -0.0,
+            -0.4,
+            -0.5,
+            -2.5,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            // u32 saturation.
+            4_294_967_294.5,
+            4_294_967_295.0,
+            4_294_967_295.49,
+            4_294_967_295.5,
+            4_294_967_296.0,
+            1e15,
+            f64::MAX,
+        ];
+        // Scaled degrees as SlimGNN-like makes them, plus a spread of
+        // magnitudes and their neighbouring doubles.
+        for d in 0..5_000u32 {
+            inputs.push(f64::from(d) * 0.75);
+        }
+        let mut x = 1e-3f64;
+        while x < 1e17 {
+            for y in [
+                x,
+                f64::from_bits(x.to_bits() + 1),
+                f64::from_bits(x.to_bits() - 1),
+            ] {
+                inputs.extend([y, y + 0.5, -y]);
+            }
+            x *= 1.37;
+        }
+        for x in inputs {
+            assert_eq!(
+                round_to_u32(x),
+                x.round() as u32,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_dispatches_largest_first_and_returns_input_order() {
+        let config = quick_config();
+        let seed3 = RunConfig {
+            profile_seed: 3,
+            ..quick_config()
+        };
+        let cells = vec![
+            Cell::system(Dataset::Cora, System::Serial, config.clone()),
+            Cell::system(Dataset::Ddi, System::Serial, seed3.clone()),
+            Cell::system(Dataset::Ddi, System::Gopim, config.clone()),
+            Cell::system(Dataset::Cora, System::Serial, config.clone()),
+            Cell::ablation(Dataset::Ddi, Ablation::PlusPp, seed3.clone()),
+        ];
+        // Cell 3 repeats cell 0, so the unique cells are 0, 1, 2, 4.
+        let groups = profile_groups(&cells, &[0, 1, 2, 4]);
+        let order: Vec<(Dataset, u64, Vec<usize>)> = groups
+            .iter()
+            .map(|g| (g.dataset, g.seed, g.slots.clone()))
+            .collect();
+        // ddi (4,267 vertices) before Cora (2,708); ddi's two seeds tie
+        // and keep their first-appearance order, seed 3 first.
+        assert_eq!(
+            order,
+            vec![
+                (Dataset::Ddi, 3, vec![1, 3]),
+                (Dataset::Ddi, 7, vec![2]),
+                (Dataset::Cora, 7, vec![0]),
+            ]
+        );
+
+        let runs = run_sweep(&cells);
+        let standalone = [
+            run_system(Dataset::Cora, System::Serial, &config),
+            run_system(Dataset::Ddi, System::Serial, &seed3),
+            run_system(Dataset::Ddi, System::Gopim, &config),
+            run_system(Dataset::Cora, System::Serial, &config),
+            run_ablation(Dataset::Ddi, Ablation::PlusPp, &seed3),
+        ];
+        assert_eq!(runs.len(), cells.len());
+        for (i, (run, want)) in runs.iter().zip(&standalone).enumerate() {
+            assert_eq!(run_bytes(run), run_bytes(want), "cell {i}");
+        }
     }
 
     #[test]

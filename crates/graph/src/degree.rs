@@ -88,6 +88,24 @@ impl DegreeProfile {
     /// Vertex ids sorted by descending degree (ties broken by ascending
     /// id, so the order is deterministic).
     pub fn vertices_by_degree_desc(&self) -> Vec<u32> {
+        let mut ids = vec![0u32; self.degrees.len()];
+        self.rank_each(|v, rank| ids[rank] = v as u32);
+        ids
+    }
+
+    /// Each vertex's position in [`Self::vertices_by_degree_desc`]:
+    /// `ranks[v] == r` exactly when `vertices_by_degree_desc()[r] == v`.
+    /// The same sort, without the id list: the ranks are written in
+    /// vertex order.
+    pub fn degree_ranks(&self) -> Vec<u32> {
+        let mut ranks = vec![0u32; self.degrees.len()];
+        self.rank_each(|v, rank| ranks[v] = rank as u32);
+        ranks
+    }
+
+    /// Calls `place(v, rank)` once per vertex with its rank in the
+    /// descending-degree order (ties by ascending id).
+    fn rank_each(&self, mut place: impl FnMut(usize, usize)) {
         let n = self.degrees.len();
         let max = self.degrees.iter().copied().max().unwrap_or(0) as usize;
         if max > n {
@@ -98,7 +116,10 @@ impl DegreeProfile {
                     .cmp(&self.degrees[a as usize])
                     .then(a.cmp(&b))
             });
-            return ids;
+            for (rank, &v) in ids.iter().enumerate() {
+                place(v as usize, rank);
+            }
+            return;
         }
         // Stable counting sort: bucket `max - d` holds degree d, so bucket
         // 0 is the highest degree; placing ids in ascending order keeps
@@ -113,13 +134,11 @@ impl DegreeProfile {
             *slot = offset;
             offset += count;
         }
-        let mut ids = vec![0u32; n];
         for (v, &d) in self.degrees.iter().enumerate() {
             let slot = &mut next[max - d as usize];
-            ids[*slot] = v as u32;
+            place(v, *slot);
             *slot += 1;
         }
-        ids
     }
 
     /// Summary statistics.
@@ -195,6 +214,7 @@ mod tests {
     fn degree_ranking_is_descending_and_deterministic() {
         let p = DegreeProfile::from_degrees(vec![5, 9, 9, 1]);
         assert_eq!(p.vertices_by_degree_desc(), vec![1, 2, 0, 3]);
+        assert_eq!(p.degree_ranks(), vec![2, 0, 1, 3]);
     }
 
     #[test]

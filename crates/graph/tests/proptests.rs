@@ -102,6 +102,23 @@ fn degree_ranking_is_a_permutation_sorted_by_degree() {
 }
 
 #[test]
+fn degree_ranks_invert_the_ranking() {
+    check_with("degree_ranks_invert_the_ranking", Config::cases(64), |d| {
+        // As above: bounds past n take the comparison sort.
+        let n = d.draw("n", 0usize..300);
+        let bound = d.draw("bound", 1u32..2 * n as u32 + 2);
+        let degrees = d.vec("degrees", n..n + 1, |d| d.draw("deg", 0..bound));
+        let p = DegreeProfile::from_degrees(degrees);
+        let ranked = p.vertices_by_degree_desc();
+        let ranks = p.degree_ranks();
+        assert_eq!(ranks.len(), ranked.len());
+        for (r, &v) in ranked.iter().enumerate() {
+            assert_eq!(ranks[v as usize] as usize, r, "vertex {v}");
+        }
+    });
+}
+
+#[test]
 fn micro_batch_plan_partitions_exactly() {
     check_with(
         "micro_batch_plan_partitions_exactly",

@@ -15,6 +15,11 @@
 //!   each scope to every crossbar round-robin — balancing both degree
 //!   mass and the update reduction (paper Fig. 11/12).
 //!
+//! Each rule is one function of a vertex's id ([`index_group`]) or of
+//! its degree rank ([`interleaved_group`]); the mappings above and the
+//! pipeline's workload build both apply them, the build without
+//! materializing the groups.
+//!
 //! [`SelectivePolicy`] implements the adaptive-θ updating rule (§VI-C):
 //! the top θ of vertices by degree refresh every epoch, the rest every
 //! 20 epochs; θ = 50 % for dense graphs, 80 % for sparse ones.
@@ -44,7 +49,10 @@ mod mapping;
 mod remap;
 mod selective;
 
-pub use mapping::{index_based, interleaved, GroupDegreeSummary, VertexMapping};
+pub use mapping::{
+    index_based, index_group, interleaved, interleaved_group, num_groups, GroupDegreeSummary,
+    VertexMapping,
+};
 pub use remap::{remap_to_spares, stranded_vertices, RemapOutcome};
 pub use selective::{
     adaptive_theta, update_load, update_rows_per_group, SelectivePolicy, UpdateLoad, DENSE_THETA,

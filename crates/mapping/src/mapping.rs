@@ -124,45 +124,72 @@ impl VertexMapping {
     }
 }
 
+/// Crossbar groups a mapping of `num_vertices` vertices uses at
+/// `capacity` rows per crossbar: `⌈N / capacity⌉`, under either rule.
+///
+/// # Panics
+///
+/// Panics if `capacity == 0`.
+#[inline]
+pub fn num_groups(num_vertices: usize, capacity: usize) -> usize {
+    assert!(capacity > 0, "capacity must be positive");
+    num_vertices.div_ceil(capacity)
+}
+
+/// The index-based group rule: vertex `v` sits on crossbar
+/// `v / capacity`.
+#[inline]
+pub fn index_group(v: usize, capacity: usize) -> usize {
+    v / capacity
+}
+
+/// The interleaved group rule: the vertex at position `rank` of the
+/// descending-degree ranking sits on crossbar `rank mod num_groups`.
+/// Scope `s` is ranks `s·num_groups .. (s+1)·num_groups`, and the
+/// `j`-th vertex of every scope goes to crossbar `j`.
+#[inline]
+pub fn interleaved_group(rank: usize, num_groups: usize) -> usize {
+    rank % num_groups
+}
+
+/// The empty groups of a mapping of `num_vertices` vertices, each
+/// with room for the `capacity` vertices it can hold (at most
+/// `num_vertices`).
+fn empty_groups(num_vertices: usize, capacity: usize) -> Vec<Vec<u32>> {
+    let room = capacity.min(num_vertices);
+    (0..num_groups(num_vertices, capacity))
+        .map(|_| Vec::with_capacity(room))
+        .collect()
+}
+
 /// Index-based mapping (the ReGraphX / SlimGNN baseline): vertices in
-/// index order, `capacity` per crossbar.
+/// index order, `capacity` per crossbar ([`index_group`]).
 ///
 /// # Panics
 ///
 /// Panics if `capacity == 0`.
 pub fn index_based(num_vertices: usize, capacity: usize) -> VertexMapping {
-    assert!(capacity > 0, "capacity must be positive");
-    let groups = (0..num_vertices as u32)
-        .collect::<Vec<u32>>()
-        .chunks(capacity)
-        .map(<[u32]>::to_vec)
-        .collect();
+    let mut groups = empty_groups(num_vertices, capacity);
+    for v in 0..num_vertices {
+        groups[index_group(v, capacity)].push(v as u32);
+    }
     VertexMapping::from_groups(groups, capacity)
 }
 
 /// GoPIM's interleaved mapping (§VI-B): sort vertices by degree
 /// descending, split the ranking into `capacity` scopes of `⌈N/K⌉`
 /// vertices, then deal one vertex of each scope to every crossbar
-/// round-robin. Every crossbar receives a balanced mix of degree
-/// classes.
+/// round-robin ([`interleaved_group`]). Every crossbar receives a
+/// balanced mix of degree classes.
 ///
 /// # Panics
 ///
 /// Panics if `capacity == 0`.
 pub fn interleaved(profile: &DegreeProfile, capacity: usize) -> VertexMapping {
-    assert!(capacity > 0, "capacity must be positive");
-    let n = profile.num_vertices();
-    if n == 0 {
-        return VertexMapping::from_groups(Vec::new(), capacity);
-    }
-    let ranked = profile.vertices_by_degree_desc();
-    let num_groups = n.div_ceil(capacity);
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); num_groups];
-    // Scope s = ranked[s*num_groups .. (s+1)*num_groups]; the j-th
-    // element of every scope goes to group j.
-    for (rank, &v) in ranked.iter().enumerate() {
-        let group = rank % num_groups;
-        groups[group].push(v);
+    let mut groups = empty_groups(profile.num_vertices(), capacity);
+    let num_groups = groups.len();
+    for (rank, &v) in profile.vertices_by_degree_desc().iter().enumerate() {
+        groups[interleaved_group(rank, num_groups)].push(v);
     }
     VertexMapping::from_groups(groups, capacity)
 }

@@ -2,7 +2,10 @@
 
 use gopim_graph::datasets::{Dataset, ModelConfig};
 use gopim_graph::DegreeProfile;
-use gopim_mapping::{index_based, interleaved, SelectivePolicy, VertexMapping};
+use gopim_mapping::{
+    index_based, index_group, interleaved, interleaved_group, num_groups, SelectivePolicy,
+    VertexMapping,
+};
 use gopim_reram::tiling;
 
 use crate::latency::LatencyParams;
@@ -108,6 +111,7 @@ impl GcnWorkload {
         options: &WorkloadOptions,
     ) -> Self {
         let n = profile.num_vertices();
+        let _span = gopim_obs::span!("pipeline.build_workload", n);
         assert!(n > 0, "workload needs at least one vertex");
         assert!(options.micro_batch > 0, "micro-batch must be positive");
         let b = options.micro_batch;
@@ -116,14 +120,20 @@ impl GcnWorkload {
         let capacity = spec.crossbar_rows;
 
         // Mapping + selection drive the write profile of AG/GC stages.
-        let mapping = match options.mapping {
-            MappingKind::IndexBased => index_based(n, capacity),
-            MappingKind::Interleaved => interleaved(profile, capacity),
-        };
+        // Both follow one descending-degree ranking: interleaved mapping
+        // deals vertices to crossbars by rank, and the important set is
+        // the top ⌈θ·n⌉ ranks. Index-based mapping that updates every
+        // vertex needs no ranking at all.
         let policy = options
             .selective
             .unwrap_or_else(SelectivePolicy::update_all);
-        let important = policy.important_vertices(profile);
+        let num_important = policy.num_important(n).min(n);
+        let ranks = if options.mapping == MappingKind::Interleaved || num_important < n {
+            let _span = gopim_obs::span!("pipeline.build_workload.rank", n);
+            profile.degree_ranks()
+        } else {
+            Vec::new()
+        };
         // Per-epoch write weight of each vertex: important vertices
         // refresh every epoch; the rest depend on the accounting mode.
         let stale = policy.stale_period() as f64;
@@ -132,24 +142,29 @@ impl GcnWorkload {
             UpdateAccounting::SteadyEpoch => 0.0,
             UpdateAccounting::RefreshEpoch => 1.0,
         };
+        // Indexed by importance: the important set is scattered over the
+        // ids, so a lookup beats a branch.
+        let weights = [unimportant_weight, 1.0];
         let weight_of = |v: usize| -> f64 {
-            if important[v] {
-                1.0
-            } else {
-                unimportant_weight
-            }
+            weights[usize::from(num_important == n || (ranks[v] as usize) < num_important)]
         };
 
-        // group_of[v]: which crossbar group holds vertex v.
-        let mut group_of = vec![0u32; n];
-        for (g, members) in mapping.groups().iter().enumerate() {
-            for &v in members {
-                group_of[v as usize] = g as u32;
+        let num_groups = num_groups(n, capacity);
+        let (pacing, amortized_rows_total) = {
+            let _span = gopim_obs::span!("pipeline.build_workload.pacing", n);
+            match options.mapping {
+                MappingKind::IndexBased => {
+                    pacing_rows(n, b, num_groups, |v| index_group(v, capacity), weight_of)
+                }
+                MappingKind::Interleaved => pacing_rows(
+                    n,
+                    b,
+                    num_groups,
+                    |v| interleaved_group(ranks[v] as usize, num_groups),
+                    weight_of,
+                ),
             }
-        }
-
-        let pacing_rows = pacing_rows(&group_of, mapping.num_groups(), b, weight_of);
-        let amortized_rows_total: f64 = (0..n).map(weight_of).sum();
+        };
 
         let avg_degree = profile.avg_degree();
         let total_degree = profile.total_degree() as f64; // 2E
@@ -213,7 +228,7 @@ impl GcnWorkload {
                     let (per_mb_write, rows_written) = if kind == StageKind::Aggregation {
                         let extra = options.repeated_load_rows_per_edge * edges_per_mb;
                         let extra_pacing = extra / groups as f64;
-                        let writes: Vec<f64> = pacing_rows
+                        let writes: Vec<f64> = pacing
                             .iter()
                             .map(|&r| (r + extra_pacing) * params.row_write_ns())
                             .collect();
@@ -301,35 +316,51 @@ impl GcnWorkload {
     }
 }
 
-/// Per-micro-batch pacing write rows. Each micro-batch of `micro_batch`
+/// Per-micro-batch pacing write rows, and the weighted rows of all
+/// `num_vertices` vertices. Each micro-batch of `micro_batch`
 /// consecutive vertices writes the freshly-produced features of its own
 /// (selected) vertices; rows on the same crossbar serialize and groups
 /// run in parallel, so the pacing quantity is the *maximum* weighted rows
-/// landing on one group.
+/// landing on one group. `group_of(v)` is vertex `v`'s crossbar group
+/// and `weight_of(v)` its per-epoch write weight.
 ///
 /// The dense per-group sums are zeroed again as each micro-batch's
-/// maximum is read. Every group's sum accumulates in vertex order and
-/// the maximum is order-free (weights are finite and non-negative), so
-/// the result is bitwise the same as summing into a sorted map.
+/// maximum is read, from a list of the groups it touched that may
+/// repeat a group (whose sum then reads 0 after the first). Every
+/// group's sum accumulates in vertex order and the maximum is
+/// order-free (weights are finite and non-negative), so the result is
+/// bitwise the same as summing into a sorted map. The total
+/// accumulates in vertex order as well.
 fn pacing_rows(
-    group_of: &[u32],
-    num_groups: usize,
+    num_vertices: usize,
     micro_batch: usize,
+    num_groups: usize,
+    group_of: impl Fn(usize) -> usize,
     weight_of: impl Fn(usize) -> f64,
-) -> Vec<f64> {
+) -> (Vec<f64>, f64) {
     let mut per_group = vec![0.0f64; num_groups];
-    group_of
-        .chunks(micro_batch)
-        .enumerate()
-        .map(|(j, groups)| {
-            for (v, &g) in (j * micro_batch..).zip(groups) {
-                per_group[g as usize] += weight_of(v);
+    let mut groups = Vec::with_capacity(micro_batch);
+    let mut total = 0.0;
+    let rows = (0..num_vertices)
+        .step_by(micro_batch)
+        .map(|start| {
+            groups.clear();
+            for v in start..(start + micro_batch).min(num_vertices) {
+                let (g, w) = (group_of(v), weight_of(v));
+                per_group[g] += w;
+                total += w;
+                // A group's vertices often come in runs (always under
+                // index-based mapping): list it once per run.
+                if groups.last() != Some(&g) {
+                    groups.push(g);
+                }
             }
             groups.iter().fold(0.0, |rows: f64, &g| {
-                rows.max(std::mem::take(&mut per_group[g as usize]))
+                rows.max(std::mem::take(&mut per_group[g]))
             })
         })
-        .collect()
+        .collect();
+    (rows, total)
 }
 
 /// Convenience: a [`VertexMapping`] for this dataset under the given
@@ -502,9 +533,17 @@ mod tests {
             }
             for unimportant in [0.0, 1.0 / 20.0, 1.0] {
                 let weight_of = |v: usize| if important[v] { 1.0 } else { unimportant };
-                let dense = pacing_rows(&group_of, mapping.num_groups(), 64, weight_of);
+                let (dense, total) = pacing_rows(
+                    group_of.len(),
+                    64,
+                    mapping.num_groups(),
+                    |v| group_of[v] as usize,
+                    weight_of,
+                );
                 let reference = pacing_rows_reference(&group_of, 64, weight_of);
                 assert_eq!(dense.len(), 16);
+                let serial: f64 = (0..group_of.len()).map(weight_of).sum();
+                assert_eq!(total.to_bits(), serial.to_bits());
                 let bits = |rows: &[f64]| rows.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&dense), bits(&reference), "{kind:?} w={unimportant}");
             }

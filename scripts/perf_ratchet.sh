@@ -7,7 +7,10 @@
 # Time Predictor's sample generation, inference and training (ten
 # epochs of a 64-wide net; 30 epochs of the paper's 10-256-1 predictor
 # at `predictor_fit`'s 868 rows, tail batch included), the workload
-# build, and the runner's warm memo working set — fast,
+# build (products under GoPIM's interleaved mapping and ISU, products
+# index-based and updating every vertex as the five other systems
+# build it — `build_workload/products-index` — and ppa under GoPIM —
+# `build_workload/ppa`), and the runner's warm memo working set — fast,
 # single-process, scheduler-light) and
 # compare it against the committed baseline with `gopim bench-diff
 # --ratchet`. Mirrors the lint ratchet: the baseline is a
@@ -41,18 +44,19 @@ fi
 CURRENT="$RATCHET_DIR/perf_ratchet_current.jsonl"
 rm -f "$CURRENT"
 
-echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + gcn epoch + graph + predictor + runner + pipeline build) =="
+echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + gcn epoch + graph + predictor + runner + pipeline builds) =="
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT" \
     cargo bench --offline -p gopim-bench --bench linalg --bench aggregate --bench gcn --bench graph \
     --bench predictor --bench runner
-# Of the pipeline bench only the products build joins the ratchet: its
-# microsecond-scale simulate/DES cases would add noise to the gate
-# without guarding a layer the cold sweep spends time in.
+# Of the pipeline bench only the products and ppa builds join the
+# ratchet: its microsecond-scale simulate/DES cases would add noise to
+# the gate without guarding a layer the cold sweep spends time in.
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT.pipeline" \
     cargo bench --offline -p gopim-bench --bench pipeline
-grep '"id":"pipeline/build_workload/products"' "$CURRENT.pipeline" >> "$CURRENT"
+grep -E '"id":"pipeline/build_workload/(products|products-index|ppa)"' \
+    "$CURRENT.pipeline" >> "$CURRENT"
 rm -f "$CURRENT.pipeline"
 
 if [ "${GOPIM_BENCH_BASELINE:-}" = "update" ]; then

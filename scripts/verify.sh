@@ -164,6 +164,21 @@ awk '$1 == "counter" && $2 == "runner.profiles_built" { n = $3 }
      END { exit !(n == 1) }' "$SMOKE_DIR/fig14_cold.err" \
     || { echo "verify: cold fig14 did not build exactly one profile"; exit 1; }
 
+echo "== cold dispatch-order smoke (fig04 + fig17, GOPIM_NO_CACHE=1, 1 vs default threads) =="
+# A sweep hands its profile groups to the pool largest dataset first,
+# so products' cells run beside the small groups: the full cold fig04
+# and fig17 must print the same stdout byte for byte on one thread and
+# on the default pool.
+for bin in fig04 fig17; do
+    GOPIM_NO_CACHE=1 GOPIM_THREADS=1 \
+        cargo run --release --offline -p gopim-bench --bin "$bin" \
+        > "$SMOKE_DIR/${bin}_cold_t1.out"
+    GOPIM_NO_CACHE=1 cargo run --release --offline -p gopim-bench --bin "$bin" \
+        > "$SMOKE_DIR/${bin}_cold_pool.out"
+    diff -u "$SMOKE_DIR/${bin}_cold_t1.out" "$SMOKE_DIR/${bin}_cold_pool.out" \
+        || { echo "verify: cold $bin stdout depends on the thread count"; exit 1; }
+done
+
 echo "== row-sparse GCN smoke (fig16 --quick, GOPIM_NO_CACHE=1) =="
 # Fig. 16's θ sweep trains with ISU staleness, so its epochs must skip
 # the stale rows' combination and backward work: the cold run must

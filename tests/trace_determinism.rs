@@ -13,7 +13,17 @@ use gopim_gcn::aggregate::{NormalizedAdjacency, Propagation};
 use gopim_graph::datasets::Dataset;
 use gopim_graph::CsrGraph;
 use gopim_linalg::Matrix;
+use gopim_mapping::SelectivePolicy;
 use gopim_par::Pool;
+use gopim_pipeline::{GcnWorkload, MappingKind, WorkloadOptions};
+
+/// The runner configuration of the traced legs' driver-path run.
+fn run_config() -> RunConfig {
+    RunConfig {
+        micro_batch: 16,
+        ..RunConfig::default()
+    }
+}
 
 /// Runs the mixed workload under `threads` workers and returns the
 /// sorted span-identity multiset.
@@ -32,12 +42,22 @@ fn traced_identities(threads: usize) -> Vec<String> {
         let adj = NormalizedAdjacency::new(&graph);
         let x = Matrix::from_vec(n as usize, 8, vec![0.5; n as usize * 8]);
         std::hint::black_box(adj.propagate(&graph, &x));
-        // Full driver path: runner → pipeline DES → schedule.
-        let config = RunConfig {
-            micro_batch: 16,
-            ..RunConfig::default()
+        // A workload build outside the runner's memos, so both legs
+        // record it: GoPIM's interleaved mapping and ISU rank ddi.
+        let profile = Dataset::Ddi.profile(7);
+        let options = WorkloadOptions {
+            mapping: MappingKind::Interleaved,
+            selective: Some(SelectivePolicy::adaptive(&profile)),
+            ..WorkloadOptions::default()
         };
-        std::hint::black_box(run_system(Dataset::Ddi, System::Gopim, &config));
+        std::hint::black_box(GcnWorkload::build_custom(
+            "ddi",
+            &profile,
+            &Dataset::Ddi.model(),
+            &options,
+        ));
+        // Full driver path: runner → pipeline DES → schedule.
+        std::hint::black_box(run_system(Dataset::Ddi, System::Gopim, &run_config()));
     });
     let mut ids: Vec<String> = gopim_obs::span::drain()
         .iter()
@@ -50,14 +70,11 @@ fn traced_identities(threads: usize) -> Vec<String> {
 
 #[test]
 fn span_identity_multiset_is_thread_count_invariant() {
-    // The runner memoizes degree profiles, so only a memo miss records
-    // `graph.power_law_profile`: build ddi's before either traced leg so
-    // both legs see the same memo state.
-    std::hint::black_box(run_system(
-        Dataset::Ddi,
-        System::Gopim,
-        &RunConfig::default(),
-    ));
+    // The runner memoizes degree profiles and workloads, so only a memo
+    // miss records `graph.power_law_profile` or `pipeline.build_workload`:
+    // run the legs' driver-path cell before either traced leg so both
+    // legs see the same memo state.
+    std::hint::black_box(run_system(Dataset::Ddi, System::Gopim, &run_config()));
     let serial = traced_identities(1);
     let parallel = traced_identities(8);
     assert!(
@@ -69,6 +86,8 @@ fn span_identity_multiset_is_thread_count_invariant() {
         "linalg.matmul",
         "gcn.aggregate",
         "pipeline.simulate",
+        "pipeline.build_workload.rank",
+        "pipeline.build_workload.pacing",
         "runner.run_system",
     ] {
         assert!(
