@@ -1,4 +1,4 @@
-//! Load generator for the gopim-serve job server.
+//! `gopim loadgen`: load generator for the gopim-serve job server.
 //!
 //! Spawns an in-process server on an ephemeral port (or targets an
 //! external one via `--addr`), hammers it with a seeded mix of
@@ -7,9 +7,9 @@
 //! latency quantiles (p50/p95/p99) from the `gopim-obs` registry.
 //!
 //! ```text
-//! cargo run --release -p gopim-bench --bin loadgen            # 1000 jobs, 8 clients
-//! cargo run --release -p gopim-bench --bin loadgen -- --quick # CI-sized smoke
-//! cargo run ... -- --jobs 5000 --clients 16 --addr host:4857  # external server
+//! gopim loadgen                                        # 1000 jobs, 8 clients
+//! gopim loadgen --quick                                # CI-sized smoke
+//! gopim loadgen --jobs 5000 --clients 16 --addr host:4857  # external server
 //! ```
 //!
 //! The job mix deliberately repeats request tuples: a serving workload
@@ -24,13 +24,16 @@ use std::time::{Duration, Instant};
 use gopim::jobs::{CoreJobHandler, JobConfig, JobRequest};
 use gopim::report;
 use gopim::system::{Ablation, System};
-use gopim_bench::{banner, BenchArgs};
 use gopim_cache::CacheValue;
 use gopim_graph::datasets::Dataset;
 use gopim_obs::metrics::LazyHistogram;
 use gopim_rng::rngs::SmallRng;
 use gopim_rng::{Rng, SeedableRng};
 use gopim_serve::{Client, Response, Server, ServerConfig};
+
+use crate::args::{Args, Flags};
+use crate::print_table;
+use crate::repro::{banner, calibrate_trace};
 
 static CLIENT_LATENCY: LazyHistogram = LazyHistogram::new("loadgen.latency_ns");
 
@@ -141,37 +144,56 @@ fn client_thread(
     Ok(())
 }
 
-fn main() {
-    let _telemetry = gopim_bench::telemetry();
+/// The load generator's arguments.
+const FLAGS: Flags = Flags {
+    switches: &["--quick"],
+    options: &["--jobs", "--clients", "--addr"],
+    positional: false,
+};
+
+/// What one run does.
+#[derive(Debug, PartialEq)]
+struct Options {
+    quick: bool,
+    jobs: u64,
+    clients: usize,
+    addr: Option<String>,
+}
+
+fn parse(args: &[String]) -> Result<Options, String> {
+    let usage = |e: String| format!("loadgen: {e}");
+    let args = Args::parse(args, &[&FLAGS]).map_err(usage)?;
+    let quick = args.has("--quick");
+    let clients = args.number("--clients").map_err(usage)?;
+    if clients == Some(0) {
+        return Err(usage("--clients must be positive".into()));
+    }
+    Ok(Options {
+        quick,
+        jobs: args
+            .number("--jobs")
+            .map_err(usage)?
+            .unwrap_or(if quick { 120 } else { 1000 }),
+        clients: clients.unwrap_or(if quick { 4 } else { 8 }),
+        addr: args.value("--addr").map(str::to_string),
+    })
+}
+
+/// Runs `gopim loadgen` with the arguments after `loadgen`.
+///
+/// # Errors
+///
+/// A usage error: an unknown flag or a malformed `--jobs`/`--clients`.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let Options {
+        quick,
+        jobs: jobs_total,
+        clients,
+        addr: addr_override,
+    } = parse(args)?;
+    calibrate_trace();
     // Quantile reporting needs the registry regardless of GOPIM_METRICS.
     gopim_obs::set_metrics_enabled(true);
-    let args = BenchArgs::from_env();
-    let mut jobs_total: u64 = if args.quick { 120 } else { 1000 };
-    let mut clients: usize = if args.quick { 4 } else { 8 };
-    let mut addr_override: Option<String> = None;
-    let mut rest = args.rest.iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                jobs_total = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(jobs_total)
-            }
-            "--clients" => {
-                clients = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&c| c > 0)
-                    .unwrap_or(clients)
-            }
-            "--addr" => addr_override = rest.next().cloned(),
-            other => {
-                eprintln!("loadgen: unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
     banner(
         "loadgen",
         "Serve-layer load generator: mixed simulation/allocation/prediction jobs\n\
@@ -205,7 +227,7 @@ fn main() {
     });
     println!(
         "target {addr} — {jobs_total} jobs across {clients} client thread(s){}",
-        if args.quick { " [quick]" } else { "" }
+        if quick { " [quick]" } else { "" }
     );
 
     let outcome = Arc::new(Outcome {
@@ -223,7 +245,7 @@ fn main() {
             let addr = addr.clone();
             let outcome = Arc::clone(&outcome);
             let quota = per_client + u64::from((c as u64) < remainder);
-            std::thread::spawn(move || client_thread(addr, c, quota, args.quick, outcome))
+            std::thread::spawn(move || client_thread(addr, c, quota, quick, outcome))
         })
         .collect();
     let mut errors = Vec::new();
@@ -267,7 +289,7 @@ fn main() {
             ]);
         }
     }
-    println!("{}", report::table(&["metric", "p50", "p95", "p99"], &rows));
+    print_table(&["metric", "p50", "p95", "p99"], rows);
 
     let done = outcome.done.load(Ordering::Relaxed);
     let cache = outcome.cache_served.load(Ordering::Relaxed);
@@ -294,5 +316,47 @@ fn main() {
     if done != jobs_total {
         eprintln!("loadgen: only {done} of {jobs_total} jobs completed");
         std::process::exit(1);
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::strings;
+
+    fn options(args: &[&str]) -> Result<Options, String> {
+        parse(&strings(args))
+    }
+
+    #[test]
+    fn quick_scales_the_defaults_and_flags_override_them() {
+        let quick = options(&["--quick"]).unwrap();
+        assert_eq!((quick.jobs, quick.clients), (120, 4));
+        let full = options(&[]).unwrap();
+        assert_eq!((full.jobs, full.clients, full.addr), (1000, 8, None));
+        let set = options(&["--jobs", "5", "--clients", "2", "--addr", "h:1"]).unwrap();
+        assert_eq!((set.jobs, set.clients), (5, 2));
+        assert_eq!(set.addr.as_deref(), Some("h:1"));
+    }
+
+    #[test]
+    fn malformed_jobs_or_clients_are_usage_errors() {
+        for (args, want) in [
+            (
+                &["--jobs", "many"][..],
+                "loadgen: --jobs expects an integer, got 'many'",
+            ),
+            (&["--jobs"], "loadgen: --jobs expects a value"),
+            (
+                &["--clients", "-1"],
+                "loadgen: --clients expects an integer, got '-1'",
+            ),
+            (&["--clients", "0"], "loadgen: --clients must be positive"),
+            (&["--budget", "5"], "loadgen: unknown flag '--budget'"),
+            (&["extra"], "loadgen: unexpected argument 'extra'"),
+        ] {
+            assert_eq!(options(args).err().as_deref(), Some(want), "{args:?}");
+        }
     }
 }

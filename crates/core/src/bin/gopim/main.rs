@@ -5,8 +5,14 @@
 //! gopim run <dataset> [system] [B]       # one simulation
 //! gopim compare <dataset>                # all six systems
 //! gopim gantt <dataset> [system] [B]     # schedule timeline
+//! gopim repro <experiment> [--quick]     # one paper table/figure
+//! gopim loadgen [--quick]                # job-server load generator
 //! gopim --help
 //! ```
+
+mod args;
+mod loadgen;
+mod repro;
 
 use gopim::report;
 use gopim::runner::{build_workload, run_system, run_systems, RunConfig};
@@ -29,14 +35,25 @@ COMMANDS:
     gantt <dataset> [system] [B]  print the schedule timeline
     custom <edge-file> [B]        run all systems on your own graph
                                   (text edge list: 'u v' per line, # comments)
-    faults <dataset> [B]          fault-injection degradation campaign
-                                  (env: GOPIM_FAULT_SEED, GOPIM_FAULT_RATES)
+    repro <experiment> [--quick] [--budget <crossbars>]
+                                  regenerate one paper table/figure or
+                                  extension (EXPERIMENTS below); --quick
+                                  runs at reduced scale, --budget caps the
+                                  crossbars (default: the full 16 GB chip)
+    repro fig13 --cora            add the SVII-F sparse-dataset run
+    repro faults [dataset]        fault-injection degradation campaign
+          [--json <path>]         (env: GOPIM_FAULT_SEED, GOPIM_FAULT_RATES);
+                                  --json appends one JSON line per row
+    repro faults --validate <f>   schema-check a campaign or lint JSON file
     serve [addr]                  persistent job server (default
                                   127.0.0.1:4857; ':0' = ephemeral):
                                   simulation/allocation/prediction jobs
                                   over the gopim-serve wire protocol,
                                   fair-share scheduled, cache-backed
                                   (env: GOPIM_SERVE_WORKERS)
+    loadgen [--quick]             seeded job mix against an in-process
+            [--jobs N] [--clients N]  server (or the one at --addr):
+            [--addr <addr>]       latency quantiles and cache-served share
     lint [--update-baseline]      determinism & hermeticity linter
                                   (ratchets against lint-baseline.json;
                                    GOPIM_LINT_JSON=<path> writes a JSON report)
@@ -59,20 +76,33 @@ COMMANDS:
     bench-diff --trajectory <f..> one column per file across BENCH_pr*.json
     help                          show this message
 
+The paper's full 16 GB chip is assumed; scripts/reproduce.sh runs every
+experiment into results/.
+
 DATASETS:  ddi collab ppa proteins arxiv products Cora
-SYSTEMS:   Serial SlimGNN-like ReGraphX ReFlip GoPIM-Vanilla GoPIM
+SYSTEMS:   Serial SlimGNN-like ReGraphX ReFlip GoPIM-Vanilla GoPIM";
 
-The paper's full 16 GB chip is assumed; see the gopim-bench binaries
-(fig04..fig17, table05..table07) for the per-figure experiments.";
+use gopim::cli::{parse_dataset, parse_micro_batch, parse_serve_addr, parse_system};
 
-use gopim::cli::{
-    campaign_config, parse_dataset, parse_micro_batch, parse_serve_addr, parse_system,
-};
+/// Prints a [`report::table`] of `rows` to stdout.
+fn print_table(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) {
+    println!(
+        "{}",
+        report::table(header, &rows.into_iter().collect::<Vec<_>>())
+    );
+}
+
+/// The help text, with the experiment names from `repro`'s table.
+fn help() -> String {
+    format!("{HELP}\nEXPERIMENTS: {}", repro::names())
+}
 
 fn cmd_datasets() {
-    let rows: Vec<Vec<String>> = Dataset::ALL
-        .iter()
-        .map(|d| {
+    print_table(
+        &[
+            "dataset", "task", "vertices", "edges", "avg deg", "feat dim", "layers",
+        ],
+        Dataset::ALL.iter().map(|d| {
             let s = d.stats();
             let m = d.model();
             vec![
@@ -84,14 +114,7 @@ fn cmd_datasets() {
                 s.feature_dim.to_string(),
                 m.num_layers.to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(
-            &["dataset", "task", "vertices", "edges", "avg deg", "feat dim", "layers"],
-            &rows
-        )
+        }),
     );
 }
 
@@ -110,24 +133,21 @@ fn cmd_run(dataset: Dataset, system: System, micro_batch: usize) {
         report::speedup(serial.makespan_ns / run.makespan_ns),
         serial.energy_nj() / run.energy_nj(),
     );
-    let rows: Vec<Vec<String>> = run
-        .stage_names
-        .iter()
-        .zip(&run.replicas)
-        .zip(&run.footprints)
-        .zip(&run.schedule.stages)
-        .map(|(((name, &r), &fp), st)| {
-            vec![
-                name.clone(),
-                r.to_string(),
-                (r * fp).to_string(),
-                report::percent(st.idle_fraction),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(&["stage", "replicas", "crossbars", "crossbar idle"], &rows)
+    print_table(
+        &["stage", "replicas", "crossbars", "crossbar idle"],
+        run.stage_names
+            .iter()
+            .zip(&run.replicas)
+            .zip(&run.footprints)
+            .zip(&run.schedule.stages)
+            .map(|(((name, &r), &fp), st)| {
+                vec![
+                    name.clone(),
+                    r.to_string(),
+                    (r * fp).to_string(),
+                    report::percent(st.idle_fraction),
+                ]
+            }),
     );
 }
 
@@ -142,9 +162,15 @@ fn cmd_compare(dataset: Dataset, micro_batch: usize) {
     let runs = run_systems(&cells, &config);
     let serial_time = runs[0].makespan_ns;
     let serial_energy = runs[0].energy_nj();
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
+    print_table(
+        &[
+            "system",
+            "exec time",
+            "speedup",
+            "energy saving",
+            "crossbars",
+        ],
+        runs.iter().map(|r| {
             vec![
                 r.system_name.clone(),
                 report::time_ns(r.makespan_ns),
@@ -152,20 +178,7 @@ fn cmd_compare(dataset: Dataset, micro_batch: usize) {
                 format!("{:.2}x", serial_energy / r.energy_nj()),
                 r.total_crossbars().to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(
-            &[
-                "system",
-                "exec time",
-                "speedup",
-                "energy saving",
-                "crossbars"
-            ],
-            &rows
-        )
+        }),
     );
 }
 
@@ -191,22 +204,6 @@ fn cmd_gantt(dataset: Dataset, system: System, micro_batch: usize) {
         report::time_ns(run.makespan_ns)
     );
     print!("{}", render_gantt(&workload, &events, 100));
-}
-
-fn cmd_faults(dataset: Dataset, micro_batch: usize) -> Result<(), String> {
-    use gopim::experiments::faults::{degradation_table, run, CampaignConfig};
-
-    let config = CampaignConfig {
-        micro_batch,
-        ..campaign_config(gopim_obs::env::get())?
-    };
-    let report = run(dataset, &config);
-    println!("{}", degradation_table(&report));
-    println!(
-        "Retry pays latency for transient faults; remap also re-steers dead crossbars to\n\
-         the allocator's spares, trading write time and energy for accuracy."
-    );
-    Ok(())
 }
 
 fn cmd_serve(addr: &str) -> Result<(), String> {
@@ -443,20 +440,16 @@ fn cmd_custom(path: &str, micro_batch: usize) -> Result<(), String> {
         .collect();
     let serial_time = runs[0].makespan_ns;
     let serial_energy = runs[0].energy_nj();
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
+    print_table(
+        &["system", "exec time", "speedup", "energy saving"],
+        runs.iter().map(|r| {
             vec![
                 r.system_name.clone(),
                 report::time_ns(r.makespan_ns),
                 report::speedup(serial_time / r.makespan_ns),
                 format!("{:.2}x", serial_energy / r.energy_nj()),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::table(&["system", "exec time", "speedup", "energy saving"], &rows)
+        }),
     );
     Ok(())
 }
@@ -470,7 +463,7 @@ fn main() {
     if let Err(msg) = result {
         gopim_obs::log_error!("{msg}");
         eprintln!();
-        eprintln!("{HELP}");
+        eprintln!("{}", help());
         drop(telemetry);
         std::process::exit(2);
     }
@@ -483,7 +476,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
     };
     match cmd {
         "help" | "--help" | "-h" => {
-            println!("{HELP}");
+            println!("{}", help());
             Ok(())
         }
         "datasets" => {
@@ -517,10 +510,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let path = args.get(1).ok_or("custom needs an edge-list file")?;
             cmd_custom(path, micro_batch_at(2)?)
         }
-        "faults" => {
-            let dataset = parse_dataset(args.get(1).ok_or("faults needs a dataset")?)?;
-            cmd_faults(dataset, micro_batch_at(2)?)
-        }
+        "repro" => repro::run(&args[1..]),
+        "loadgen" => loadgen::run(&args[1..]),
         "serve" => {
             let addr = parse_serve_addr(args.get(1).map(String::as_str))?;
             cmd_serve(&addr)

@@ -6,23 +6,30 @@
 //! makespan, energy and stand-in accuracy relative to the fault-free
 //! run. Seeded end to end — the same arguments replay bit-identically.
 //!
-//! Extra arguments on top of the shared `--quick` / `--budget`:
+//! Arguments beyond `--quick` / `--budget`:
 //!
-//! - `<dataset>` — positional dataset name (default ddi);
+//! - `<dataset>` — dataset name (default ddi);
 //! - `--json <path>` — append one JSON line per table row;
 //! - `--validate <path>` — parse a previously emitted JSON file —
 //!   campaign JSON-lines or a `GOPIM_LINT_JSON` linter report —
 //!   check its schema, and exit (no simulation).
 //!
-//! The fault knobs are the same as `gopim faults`'s
-//! (`GOPIM_FAULT_SEED`, `GOPIM_FAULT_RATES`), read by the same
-//! [`campaign_config`]. A malformed knob or argument exits 2 with the
-//! message, as `gopim` does.
+//! `GOPIM_FAULT_SEED` and `GOPIM_FAULT_RATES` select the campaign (see
+//! [`campaign_config`]); a malformed one is a usage error.
 
 use gopim::cli::{campaign_config, parse_dataset};
 use gopim::experiments::faults::{degradation_table, run, CampaignReport};
-use gopim_bench::{banner, BenchArgs};
 use gopim_graph::datasets::Dataset;
+
+use super::{banner, Repro};
+use crate::args::{Args, Flags};
+
+/// The campaign's own arguments.
+pub const FLAGS: Flags = Flags {
+    switches: &[],
+    options: &["--json", "--validate"],
+    positional: true,
+};
 
 fn json_line(report: &CampaignReport, row_index: usize) -> String {
     let r = &report.rows[row_index];
@@ -141,39 +148,25 @@ enum Mode {
     },
 }
 
-/// Parses the arguments after the shared `--quick` / `--budget`.
-/// `--validate` short-circuits: later arguments are not read.
-fn parse_mode(rest: &[String]) -> Result<Mode, String> {
-    let mut dataset = Dataset::Ddi;
-    let mut json_path = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--validate" => {
-                let path = it.next().ok_or("--validate expects a path")?;
-                return Ok(Mode::Validate(path.clone()));
-            }
-            "--json" => json_path = Some(it.next().ok_or("--json expects a path")?.clone()),
-            name => dataset = parse_dataset(name)?,
-        }
+/// `--validate` wins over the campaign's other arguments, which it
+/// leaves unread.
+fn mode(args: &Args) -> Result<Mode, String> {
+    if let Some(path) = args.value("--validate") {
+        return Ok(Mode::Validate(path.to_string()));
     }
-    Ok(Mode::Run { dataset, json_path })
+    Ok(Mode::Run {
+        dataset: args.positional().map_or(Ok(Dataset::Ddi), parse_dataset)?,
+        json_path: args.value("--json").map(str::to_string),
+    })
 }
 
-/// Reports a malformed argument or knob and exits 2.
-fn usage_error(msg: String) -> ! {
-    gopim_obs::log_error!("faults: {msg}");
-    std::process::exit(2);
-}
-
-fn main() {
-    let _telemetry = gopim_bench::telemetry();
-    let args = BenchArgs::from_env();
-    let (dataset, json_path) = match parse_mode(&args.rest).unwrap_or_else(|e| usage_error(e)) {
+/// `gopim repro faults`: runs the campaign, or validates a JSON file.
+pub fn faults(args: &Repro) -> Result<(), String> {
+    let (dataset, json_path) = match mode(&args.parsed)? {
         Mode::Validate(path) => match validate(&path) {
             Ok((n, kind)) => {
                 println!("{path}: {n} {kind} ok");
-                return;
+                return Ok(());
             }
             Err(msg) => {
                 eprintln!("{msg}");
@@ -182,7 +175,7 @@ fn main() {
         },
         Mode::Run { dataset, json_path } => (dataset, json_path),
     };
-    let mut config = campaign_config(gopim_obs::env::get()).unwrap_or_else(|e| usage_error(e));
+    let mut config = campaign_config(gopim_obs::env::get())?;
 
     banner(
         "Fault campaign (extension)",
@@ -215,56 +208,58 @@ fn main() {
         }
         println!("appended {} JSON records to {path}", report.rows.len());
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::strings;
 
-    fn mode(args: &[&str]) -> Result<Mode, String> {
-        parse_mode(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn mode_of(args: &[&str]) -> Result<Mode, String> {
+        mode(&Args::parse(&strings(args), &[&FLAGS])?)
     }
 
     #[test]
     fn arguments_pick_the_mode() {
         assert_eq!(
-            mode(&[]),
+            mode_of(&[]),
             Ok(Mode::Run {
                 dataset: Dataset::Ddi,
                 json_path: None
             })
         );
         assert_eq!(
-            mode(&["cora", "--json", "out.jsonl"]),
+            mode_of(&["cora", "--json", "out.jsonl"]),
             Ok(Mode::Run {
                 dataset: Dataset::Cora,
                 json_path: Some("out.jsonl".into())
             })
         );
         assert_eq!(
-            mode(&["--validate", "f.jsonl", "imdb"]),
+            mode_of(&["--validate", "f.jsonl", "imdb"]),
             Ok(Mode::Validate("f.jsonl".into()))
         );
     }
 
     #[test]
     fn an_unknown_dataset_is_an_error() {
-        assert!(mode(&["imdb"]).unwrap_err().contains("unknown dataset"));
+        assert!(mode_of(&["imdb"]).unwrap_err().contains("unknown dataset"));
     }
 
     #[test]
     fn json_without_a_path_is_an_error() {
         assert_eq!(
-            mode(&["cora", "--json"]),
-            Err("--json expects a path".into())
+            mode_of(&["cora", "--json"]),
+            Err("--json expects a value".into())
         );
     }
 
     #[test]
     fn validate_without_a_path_is_an_error() {
         assert_eq!(
-            mode(&["--validate"]),
-            Err("--validate expects a path".into())
+            mode_of(&["--validate"]),
+            Err("--validate expects a value".into())
         );
     }
 }

@@ -1,5 +1,7 @@
-//! Argument parsing for the `gopim` CLI binary (kept in the library so
-//! it is unit-testable).
+//! Name and knob parsing for the `gopim` CLI binary: datasets, systems,
+//! micro-batch sizes, listen addresses and the fault campaign's knobs.
+//! The flags of `gopim repro` and `gopim loadgen` are parsed by the
+//! binary's own parser.
 
 use gopim_graph::datasets::Dataset;
 use gopim_obs::env::Env;
@@ -85,8 +87,8 @@ pub fn parse_serve_addr(arg: Option<&str>) -> Result<String, String> {
 }
 
 /// The fault campaign's configuration: the `GOPIM_FAULT_SEED` and
-/// `GOPIM_FAULT_RATES` knobs over [`CampaignConfig::default`]. Both
-/// front ends, `gopim faults` and the `faults` binary, start here.
+/// `GOPIM_FAULT_RATES` knobs over [`CampaignConfig::default`], as
+/// `gopim repro faults` runs it.
 ///
 /// # Errors
 ///

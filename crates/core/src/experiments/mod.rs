@@ -1,12 +1,13 @@
-//! One module per paper table/figure (see DESIGN.md §3 for the full
-//! index). Each returns typed rows; the `gopim-bench` binaries format
-//! and print them.
+//! One module per paper table/figure and per reproduction extension
+//! (see DESIGN.md §3 for the full index). Each returns typed rows;
+//! `gopim repro <experiment>` formats and prints them.
 
 use gopim_graph::datasets::Dataset;
 
 use crate::runner::{run_sweep, Cell, RunConfig, SystemRun};
 use crate::system::System;
 
+pub mod ablation;
 pub mod faults;
 pub mod fig04;
 pub mod fig06;
@@ -19,6 +20,7 @@ pub mod fig17;
 pub mod table05;
 pub mod table06;
 pub mod table07;
+pub mod xbar_size;
 
 /// Serial and GoPIM on `dataset` under each of `configs`, as one
 /// [`run_sweep`]: the runs alternate Serial, GoPIM, one pair per

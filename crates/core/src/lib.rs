@@ -10,11 +10,16 @@
 //!   pipelining mode and replica-allocation policy (paper §VII-A).
 //! - [`runner`]: builds a workload for a dataset, allocates crossbar
 //!   replicas, simulates the pipeline and accounts energy.
-//! - [`experiments`]: one module per paper table/figure, returning
-//!   typed rows the `gopim-bench` binaries print.
+//! - [`experiments`]: one module per paper table/figure and extension,
+//!   returning typed rows that `gopim repro <experiment>` prints.
 //! - [`jobs`]: the same entry points as self-describing jobs for the
 //!   `gopim-serve` job server (`gopim serve`).
 //! - [`report`]: plain-text table formatting.
+//!
+//! The crate's `gopim` binary is the one command-line front end:
+//! `gopim repro <experiment>` regenerates a table or figure,
+//! `gopim loadgen` drives the job server, and `gopim --help` lists the
+//! rest.
 //!
 //! # Quickstart
 //!

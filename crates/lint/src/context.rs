@@ -270,7 +270,7 @@ mod tests {
         assert_eq!(FileKind::classify("crates/graph/src/io.rs"), FileKind::Lib);
         assert_eq!(FileKind::classify("crates/core/src/main.rs"), FileKind::Bin);
         assert_eq!(
-            FileKind::classify("crates/bench/src/bin/fig04.rs"),
+            FileKind::classify("crates/core/src/bin/gopim/repro/faults.rs"),
             FileKind::Bin
         );
         assert_eq!(
@@ -279,7 +279,7 @@ mod tests {
         );
         assert_eq!(FileKind::classify("tests/determinism.rs"), FileKind::Test);
         assert_eq!(
-            FileKind::classify("crates/bench/benches/linalg.rs"),
+            FileKind::classify("crates/core/benches/linalg.rs"),
             FileKind::Bench
         );
         assert_eq!(

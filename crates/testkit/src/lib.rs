@@ -19,7 +19,7 @@
 //! - [`bench`] — a wall-clock microbenchmark runner (warmup, then
 //!   median-of-N with MAD spread) that prints human-readable tables
 //!   and machine-readable JSON lines, replacing criterion for the
-//!   `crates/bench/benches/*` targets.
+//!   `crates/core/benches/*` targets.
 //! - [`gen`] — domain generators (CSR graphs, degree profiles, stage
 //!   timing specs) shared by the ported property suites.
 //!

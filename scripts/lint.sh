@@ -33,5 +33,5 @@ done
 
 GOPIM_LINT_JSON="$RESULTS_DIR/lint.json" \
     cargo run --release --offline -p gopim --bin gopim -- lint ${LINT_ARGS[@]+"${LINT_ARGS[@]}"}
-cargo run --release --offline -p gopim-bench --bin faults -- \
+cargo run --release --offline -p gopim --bin gopim -- repro faults \
     --validate "$RESULTS_DIR/lint.json"

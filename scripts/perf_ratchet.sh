@@ -47,14 +47,14 @@ rm -f "$CURRENT"
 echo "== perf-ratchet: smoke-bench suite (linalg + aggregate + gcn epoch + graph + predictor + runner + pipeline builds) =="
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT" \
-    cargo bench --offline -p gopim-bench --bench linalg --bench aggregate --bench gcn --bench graph \
+    cargo bench --offline -p gopim --bench linalg --bench aggregate --bench gcn --bench graph \
     --bench predictor --bench runner
 # Of the pipeline bench only the products and ppa builds join the
 # ratchet: its microsecond-scale simulate/DES cases would add noise to
 # the gate without guarding a layer the cold sweep spends time in.
 GOPIM_BENCH_FAST=1 GOPIM_BENCH_SAMPLES="${GOPIM_BENCH_SAMPLES:-11}" \
 GOPIM_BENCH_JSON="$CURRENT.pipeline" \
-    cargo bench --offline -p gopim-bench --bench pipeline
+    cargo bench --offline -p gopim --bench pipeline
 grep -E '"id":"pipeline/build_workload/(products|products-index|ppa)"' \
     "$CURRENT.pipeline" >> "$CURRENT"
 rm -f "$CURRENT.pipeline"

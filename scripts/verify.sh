@@ -51,7 +51,7 @@ cargo test -q --release --offline -p gopim \
     --test kernel_equivalence --test golden_paper --test determinism
 
 echo "== bench targets compile =="
-cargo build --offline --benches -p gopim-bench
+cargo build --offline -p gopim --bench '*'
 
 echo "== traced smoke run (fig04 --quick) =="
 # Telemetry must be output-invariant: a traced run's stdout must match
@@ -61,13 +61,13 @@ echo "== traced smoke run (fig04 --quick) =="
 # a schema-valid manifest with nonzero span aggregates.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
     > "$SMOKE_DIR/plain.out"
 GOPIM_TRACE="$SMOKE_DIR/trace.json" GOPIM_METRICS=1 \
     GOPIM_PROFILE="$SMOKE_DIR/profile.txt" \
     GOPIM_PROFILE_FOLDED="$SMOKE_DIR/folded.txt" \
     GOPIM_MANIFEST="$SMOKE_DIR/manifest.json" \
-    cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+    cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
     > "$SMOKE_DIR/traced.out" 2> "$SMOKE_DIR/traced.err"
 diff -u "$SMOKE_DIR/plain.out" "$SMOKE_DIR/traced.out" \
     || { echo "verify: tracing changed fig04 stdout"; exit 1; }
@@ -97,7 +97,7 @@ echo "== unknown-knob smoke (fig04 --quick with a misspelled knob) =="
 # A typo must change nothing but stderr: stdout stays byte-identical
 # to the plain run, and exactly one warning names the misspelled knob
 # (GOPIM_LOG pinned so an inherited level cannot hide it).
-GOPIM_LOG=info GOPIM_NOCACHE=1 cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+GOPIM_LOG=info GOPIM_NOCACHE=1 cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
     > "$SMOKE_DIR/typo.out" 2> "$SMOKE_DIR/typo.err"
 diff -u "$SMOKE_DIR/plain.out" "$SMOKE_DIR/typo.out" \
     || { echo "verify: a misspelled knob changed fig04 stdout"; exit 1; }
@@ -132,10 +132,10 @@ echo "== run-cache smoke (fig04 --quick, cold vs warm disk tier) =="
 CACHE_DIR="$SMOKE_DIR/run_cache"
 mkdir -p "$CACHE_DIR"
 GOPIM_CACHE="$CACHE_DIR" GOPIM_METRICS=1 \
-    cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+    cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
     > "$SMOKE_DIR/cache_cold.out" 2> "$SMOKE_DIR/cache_cold.err"
 GOPIM_CACHE="$CACHE_DIR" GOPIM_METRICS=1 \
-    cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+    cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
     > "$SMOKE_DIR/cache_warm.out" 2> "$SMOKE_DIR/cache_warm.err"
 diff -u "$SMOKE_DIR/cache_cold.out" "$SMOKE_DIR/cache_warm.out" \
     || { echo "verify: warm cached fig04 stdout differs from cold run"; exit 1; }
@@ -153,10 +153,10 @@ echo "== cold sweep smoke (fig14 --quick, GOPIM_NO_CACHE=1) =="
 # profile even with the memos off: the cold run must print the plain
 # run's stdout byte for byte and build exactly one profile for ddi's
 # four ablation cells.
-cargo run --release --offline -p gopim-bench --bin fig14 -- --quick \
+cargo run --release --offline -p gopim --bin gopim -- repro fig14 --quick \
     > "$SMOKE_DIR/fig14_plain.out"
 GOPIM_NO_CACHE=1 GOPIM_METRICS=1 \
-    cargo run --release --offline -p gopim-bench --bin fig14 -- --quick \
+    cargo run --release --offline -p gopim --bin gopim -- repro fig14 --quick \
     > "$SMOKE_DIR/fig14_cold.out" 2> "$SMOKE_DIR/fig14_cold.err"
 diff -u "$SMOKE_DIR/fig14_plain.out" "$SMOKE_DIR/fig14_cold.out" \
     || { echo "verify: GOPIM_NO_CACHE changed fig14 stdout"; exit 1; }
@@ -169,24 +169,24 @@ echo "== cold dispatch-order smoke (fig04 + fig17, GOPIM_NO_CACHE=1, 1 vs defaul
 # so products' cells run beside the small groups: the full cold fig04
 # and fig17 must print the same stdout byte for byte on one thread and
 # on the default pool.
-for bin in fig04 fig17; do
+for exp in fig04 fig17; do
     GOPIM_NO_CACHE=1 GOPIM_THREADS=1 \
-        cargo run --release --offline -p gopim-bench --bin "$bin" \
-        > "$SMOKE_DIR/${bin}_cold_t1.out"
-    GOPIM_NO_CACHE=1 cargo run --release --offline -p gopim-bench --bin "$bin" \
-        > "$SMOKE_DIR/${bin}_cold_pool.out"
-    diff -u "$SMOKE_DIR/${bin}_cold_t1.out" "$SMOKE_DIR/${bin}_cold_pool.out" \
-        || { echo "verify: cold $bin stdout depends on the thread count"; exit 1; }
+        cargo run --release --offline -p gopim --bin gopim -- repro "$exp" \
+        > "$SMOKE_DIR/${exp}_cold_t1.out"
+    GOPIM_NO_CACHE=1 cargo run --release --offline -p gopim --bin gopim -- repro "$exp" \
+        > "$SMOKE_DIR/${exp}_cold_pool.out"
+    diff -u "$SMOKE_DIR/${exp}_cold_t1.out" "$SMOKE_DIR/${exp}_cold_pool.out" \
+        || { echo "verify: cold $exp stdout depends on the thread count"; exit 1; }
 done
 
 echo "== row-sparse GCN smoke (fig16 --quick, GOPIM_NO_CACHE=1) =="
 # Fig. 16's θ sweep trains with ISU staleness, so its epochs must skip
 # the stale rows' combination and backward work: the cold run must
 # print the plain run's stdout byte for byte and report skipped rows.
-cargo run --release --offline -p gopim-bench --bin fig16 -- --quick \
+cargo run --release --offline -p gopim --bin gopim -- repro fig16 --quick \
     > "$SMOKE_DIR/fig16_plain.out"
 GOPIM_NO_CACHE=1 GOPIM_METRICS=1 \
-    cargo run --release --offline -p gopim-bench --bin fig16 -- --quick \
+    cargo run --release --offline -p gopim --bin gopim -- repro fig16 --quick \
     > "$SMOKE_DIR/fig16_cold.out" 2> "$SMOKE_DIR/fig16_cold.err"
 diff -u "$SMOKE_DIR/fig16_plain.out" "$SMOKE_DIR/fig16_cold.out" \
     || { echo "verify: GOPIM_NO_CACHE changed fig16 stdout"; exit 1; }
@@ -203,7 +203,7 @@ if ! flag_on "${GOPIM_NO_SERVE:-}"; then
     # cleanly. The metrics report must carry nonzero serve.* counters
     # and the manifest must validate with the serve fields recorded.
     GOPIM_METRICS=1 GOPIM_MANIFEST="$SMOKE_DIR/serve_manifest.json" \
-        cargo run --release --offline -p gopim-bench --bin loadgen -- --quick \
+        cargo run --release --offline -p gopim --bin gopim -- loadgen --quick \
         > "$SMOKE_DIR/serve.out" 2> "$SMOKE_DIR/serve.err"
     grep -q "jobs done" "$SMOKE_DIR/serve.out" \
         || { echo "verify: loadgen printed no completion line"; exit 1; }
@@ -245,7 +245,7 @@ if ! flag_on "${GOPIM_NO_LOCKDEP:-}"; then
     # dump a witness whose order matrix is a subgraph of the static
     # graph.
     GOPIM_LOCKDEP=1 GOPIM_LOCKDEP_DUMP="$SMOKE_DIR/fig04_witness.json" \
-        cargo run --release --offline -p gopim-bench --bin fig04 -- --quick \
+        cargo run --release --offline -p gopim --bin gopim -- repro fig04 --quick \
         > "$SMOKE_DIR/lockdep_fig04.out"
     diff -u "$SMOKE_DIR/plain.out" "$SMOKE_DIR/lockdep_fig04.out" \
         || { echo "verify: lockdep changed fig04 stdout"; exit 1; }
@@ -256,7 +256,7 @@ if ! flag_on "${GOPIM_NO_LOCKDEP:-}"; then
         # (Its stdout carries real ports and wall-clock quantiles, so
         # no byte-identity check here; fig04 above covers that.)
         GOPIM_LOCKDEP=1 GOPIM_LOCKDEP_DUMP="$SMOKE_DIR/loadgen_witness.json" \
-            cargo run --release --offline -p gopim-bench --bin loadgen -- --quick \
+            cargo run --release --offline -p gopim --bin gopim -- loadgen --quick \
             > /dev/null
         WITNESSES+=("$SMOKE_DIR/loadgen_witness.json")
     fi
@@ -274,10 +274,10 @@ echo "== seeded fault-campaign smoke (faults --quick) =="
 # in-repo parser's schema check, and a second run under the same seed
 # must replay byte-identically (stdout and JSON records).
 GOPIM_FAULT_SEED=7 GOPIM_FAULT_RATES="0,0.2" \
-    cargo run --release --offline -p gopim-bench --bin faults -- --quick cora \
+    cargo run --release --offline -p gopim --bin gopim -- repro faults --quick cora \
     --json "$SMOKE_DIR/faults_a.jsonl" > "$SMOKE_DIR/faults_a.out"
 GOPIM_FAULT_SEED=7 GOPIM_FAULT_RATES="0,0.2" \
-    cargo run --release --offline -p gopim-bench --bin faults -- --quick cora \
+    cargo run --release --offline -p gopim --bin gopim -- repro faults --quick cora \
     --json "$SMOKE_DIR/faults_b.jsonl" > "$SMOKE_DIR/faults_b.out"
 # The trailing "appended ... to <path>" line names the per-run JSON
 # file, so strip it from the stdout diff; the records themselves are
@@ -287,7 +287,7 @@ diff -u <(grep -v '^appended ' "$SMOKE_DIR/faults_a.out") \
     || { echo "verify: fault campaign is not seed-deterministic"; exit 1; }
 diff -u "$SMOKE_DIR/faults_a.jsonl" "$SMOKE_DIR/faults_b.jsonl" \
     || { echo "verify: fault campaign JSON records differ across replays"; exit 1; }
-cargo run --release --offline -p gopim-bench --bin faults -- \
+cargo run --release --offline -p gopim --bin gopim -- repro faults \
     --validate "$SMOKE_DIR/faults_a.jsonl"
 
 echo "verify: all green"
