@@ -45,11 +45,6 @@ fn mix(mut z: u64) -> u64 {
 pub struct CacheKey(u128);
 
 impl CacheKey {
-    /// Rebuilds a key from its raw value (used by the disk tier).
-    pub fn from_u128(v: u128) -> Self {
-        CacheKey(v)
-    }
-
     /// The raw 128-bit value.
     pub fn as_u128(&self) -> u128 {
         self.0

@@ -1,13 +1,13 @@
 //! Microbenchmarks for sparse Â·X aggregation (the GCN Aggregation
-//! stage): symmetric-normalized propagation and the SAGE-style mean
-//! aggregator over synthetic power-law graphs, plus `Â·X` on the ddi
-//! training graph of the `gcn_train` benchmark at its three feature
-//! widths (hidden 48, Cora's 7 classes, the link datasets' 2).
+//! stage): symmetric-normalized propagation over synthetic power-law
+//! graphs, plus `Â·X` on the ddi training graph of the `gcn_train`
+//! benchmark at its three feature widths (hidden 48, Cora's 7 classes,
+//! the link datasets' 2).
 //!
 //! `GOPIM_THREADS` controls the pool fan-out; outputs are row-wise
 //! deterministic, so every thread count produces identical bits.
 
-use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
+use gopim_gcn::aggregate::NormalizedAdjacency;
 use gopim_graph::datasets::Dataset;
 use gopim_graph::generate::{chung_lu, power_law_profile};
 use gopim_linalg::Matrix;
@@ -28,11 +28,7 @@ fn main() {
         let graph = chung_lu(&profile, 0x517);
         let x = features(n, d);
         let norm = NormalizedAdjacency::new(&graph);
-        runner.bench(&format!("normalized/{n}v-d{d}"), || {
-            norm.propagate(&graph, &x)
-        });
-        let mean = MeanAggregator::new();
-        runner.bench(&format!("mean/{n}v-d{d}"), || mean.propagate(&graph, &x));
+        runner.bench(&format!("normalized/{n}v-d{d}"), || norm.apply(&graph, &x));
     }
     let (graph, _) = Dataset::Ddi.numeric_graph(1200, 1);
     let norm = NormalizedAdjacency::new(&graph);

@@ -1,7 +1,7 @@
-//! The argument parser behind `gopim repro` and `gopim loadgen`: every
-//! argument must be a flag the command declares, or its one
-//! positional, so a typo is a usage error instead of a silently
-//! different run.
+//! The argument parser behind every `gopim` command but `lint` and
+//! `bench-diff`: each argument must be a flag the command declares, or
+//! one of the positionals it takes, so a typo is a usage error instead
+//! of a silently different run.
 
 use std::str::FromStr;
 
@@ -11,17 +11,22 @@ pub struct Flags {
     pub switches: &'static [&'static str],
     /// Flags followed by a value, such as `--budget N`.
     pub options: &'static [&'static str],
-    /// Whether one positional argument is allowed.
-    pub positional: bool,
+    /// How many positional arguments are allowed.
+    pub positionals: usize,
 }
 
 impl Flags {
     /// Accepts nothing.
-    pub const NONE: Flags = Flags {
-        switches: &[],
-        options: &[],
-        positional: false,
-    };
+    pub const NONE: Flags = Flags::positionals(0);
+
+    /// Accepts up to `n` positionals and no flag.
+    pub const fn positionals(n: usize) -> Flags {
+        Flags {
+            switches: &[],
+            options: &[],
+            positionals: n,
+        }
+    }
 }
 
 /// Arguments checked against the [`Flags`] of a command.
@@ -29,7 +34,7 @@ impl Flags {
 pub struct Args {
     switches: Vec<&'static str>,
     options: Vec<(&'static str, String)>,
-    positional: Option<String>,
+    positionals: Vec<String>,
 }
 
 impl Args {
@@ -38,7 +43,7 @@ impl Args {
     /// # Errors
     ///
     /// Names the first unknown flag, an option without a value, or an
-    /// argument beyond the one positional.
+    /// argument beyond the most positionals any of `accepted` allows.
     pub fn parse(args: &[String], accepted: &[&Flags]) -> Result<Args, String> {
         let find = |names: fn(&Flags) -> &'static [&'static str], arg: &str| {
             accepted
@@ -60,8 +65,11 @@ impl Args {
                 parsed.options.push((option, value.clone()));
             } else if arg.starts_with('-') {
                 return Err(format!("unknown flag '{arg}'"));
-            } else if parsed.positional.is_none() && accepted.iter().any(|f| f.positional) {
-                parsed.positional = Some(arg.clone());
+            } else if accepted
+                .iter()
+                .any(|f| parsed.positionals.len() < f.positionals)
+            {
+                parsed.positionals.push(arg.clone());
             } else {
                 return Err(format!("unexpected argument '{arg}'"));
             }
@@ -97,9 +105,9 @@ impl Args {
             .transpose()
     }
 
-    /// The positional argument, if one was given.
-    pub fn positional(&self) -> Option<&str> {
-        self.positional.as_deref()
+    /// The `i`-th positional argument, if one was given.
+    pub fn positional(&self, i: usize) -> Option<&str> {
+        self.positionals.get(i).map(String::as_str)
     }
 }
 
@@ -115,7 +123,7 @@ mod tests {
     const TEST: Flags = Flags {
         switches: &["--quick"],
         options: &["--budget"],
-        positional: true,
+        positionals: 1,
     };
 
     fn parse(args: &[&str]) -> Result<Args, String> {
@@ -127,11 +135,11 @@ mod tests {
         let a = parse(&["--quick", "--budget", "1000", "extra"]).unwrap();
         assert!(a.has("--quick"));
         assert_eq!(a.number::<usize>("--budget"), Ok(Some(1000)));
-        assert_eq!(a.positional(), Some("extra"));
+        assert_eq!(a.positional(0), Some("extra"));
         let none = parse(&[]).unwrap();
         assert!(!none.has("--quick"));
         assert_eq!(none.number::<usize>("--budget"), Ok(None));
-        assert_eq!(none.positional(), None);
+        assert_eq!(none.positional(0), None);
     }
 
     #[test]
@@ -145,7 +153,7 @@ mod tests {
         const MORE: Flags = Flags {
             switches: &["--cora"],
             options: &[],
-            positional: false,
+            positionals: 0,
         };
         let a = Args::parse(&strings(&["--cora", "--quick"]), &[&TEST, &MORE]).unwrap();
         assert!(a.has("--cora") && a.has("--quick"));
@@ -188,6 +196,19 @@ mod tests {
         assert_eq!(
             Args::parse(&strings(&["cora"]), &[&Flags::NONE]),
             Err("unexpected argument 'cora'".into())
+        );
+        let three = Args::parse(&strings(&["a", "b", "c"]), &[&Flags::positionals(3)]).unwrap();
+        assert_eq!(
+            (
+                three.positional(0),
+                three.positional(2),
+                three.positional(3)
+            ),
+            (Some("a"), Some("c"), None)
+        );
+        assert_eq!(
+            Args::parse(&strings(&["a", "b", "c", "d"]), &[&Flags::positionals(3)]),
+            Err("unexpected argument 'd'".into())
         );
     }
 }

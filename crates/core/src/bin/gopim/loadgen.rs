@@ -148,7 +148,7 @@ fn client_thread(
 const FLAGS: Flags = Flags {
     switches: &["--quick"],
     options: &["--jobs", "--clients", "--addr"],
-    positional: false,
+    positionals: 0,
 };
 
 /// What one run does.

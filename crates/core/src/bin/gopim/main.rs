@@ -14,6 +14,7 @@ mod args;
 mod loadgen;
 mod repro;
 
+use args::{Args, Flags};
 use gopim::report;
 use gopim::runner::{build_workload, run_system, run_systems, RunConfig};
 use gopim::system::System;
@@ -471,8 +472,20 @@ fn main() {
 
 fn dispatch(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let micro_batch_at = |idx: usize| -> Result<usize, String> {
-        parse_micro_batch(args.get(idx).map(String::as_str))
+    // The positionals of a command that takes up to `max` of them and
+    // no flag.
+    let positionals = |max: usize| {
+        Args::parse(&args[1..], &[&Flags::positionals(max)]).map_err(|e| format!("{cmd}: {e}"))
+    };
+    // `<dataset> [system] [B]`, as `run` and `gantt` take them.
+    let dataset_system_batch = || -> Result<(Dataset, System, usize), String> {
+        let a = positionals(3)?;
+        let dataset = parse_dataset(
+            a.positional(0)
+                .ok_or_else(|| format!("{cmd} needs a dataset"))?,
+        )?;
+        let system = a.positional(1).map_or(Ok(System::Gopim), parse_system)?;
+        Ok((dataset, system, parse_micro_batch(a.positional(2))?))
     };
     match cmd {
         "help" | "--help" | "-h" => {
@@ -480,42 +493,34 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "datasets" => {
+            positionals(0)?;
             cmd_datasets();
             Ok(())
         }
         "run" => {
-            let dataset = parse_dataset(args.get(1).ok_or("run needs a dataset")?)?;
-            let system = match args.get(2) {
-                Some(s) => parse_system(s)?,
-                None => System::Gopim,
-            };
-            cmd_run(dataset, system, micro_batch_at(3)?);
+            let (dataset, system, micro_batch) = dataset_system_batch()?;
+            cmd_run(dataset, system, micro_batch);
             Ok(())
         }
         "compare" => {
-            let dataset = parse_dataset(args.get(1).ok_or("compare needs a dataset")?)?;
-            cmd_compare(dataset, micro_batch_at(2)?);
+            let a = positionals(2)?;
+            let dataset = parse_dataset(a.positional(0).ok_or("compare needs a dataset")?)?;
+            cmd_compare(dataset, parse_micro_batch(a.positional(1))?);
             Ok(())
         }
         "gantt" => {
-            let dataset = parse_dataset(args.get(1).ok_or("gantt needs a dataset")?)?;
-            let system = match args.get(2) {
-                Some(s) => parse_system(s)?,
-                None => System::Gopim,
-            };
-            cmd_gantt(dataset, system, micro_batch_at(3)?);
+            let (dataset, system, micro_batch) = dataset_system_batch()?;
+            cmd_gantt(dataset, system, micro_batch);
             Ok(())
         }
         "custom" => {
-            let path = args.get(1).ok_or("custom needs an edge-list file")?;
-            cmd_custom(path, micro_batch_at(2)?)
+            let a = positionals(2)?;
+            let path = a.positional(0).ok_or("custom needs an edge-list file")?;
+            cmd_custom(path, parse_micro_batch(a.positional(1))?)
         }
         "repro" => repro::run(&args[1..]),
         "loadgen" => loadgen::run(&args[1..]),
-        "serve" => {
-            let addr = parse_serve_addr(args.get(1).map(String::as_str))?;
-            cmd_serve(&addr)
-        }
+        "serve" => cmd_serve(&parse_serve_addr(positionals(1)?.positional(0))?),
         "bench-diff" => cmd_bench_diff(&args[1..]),
         "lint" => {
             if args.get(1).map(String::as_str) == Some("--locks") {

@@ -29,7 +29,7 @@ impl Experiment {
 const CORA: Flags = Flags {
     switches: &["--cora"],
     options: &[],
-    positional: false,
+    positionals: 0,
 };
 
 /// Every experiment, in `scripts/reproduce.sh` order.
@@ -60,7 +60,7 @@ const EXPERIMENTS: &[Experiment] = &[
 const COMMON: Flags = Flags {
     switches: &["--quick"],
     options: &["--budget"],
-    positional: false,
+    positionals: 0,
 };
 
 /// The experiment names, space-separated.
@@ -247,7 +247,7 @@ mod tests {
     fn experiment_flags_parse_for_their_experiment() {
         assert!(repro(&["fig13", "--cora"]).unwrap().parsed.has("--cora"));
         let r = repro(&["faults", "cora", "--json", "out.jsonl"]).unwrap();
-        assert_eq!(r.parsed.positional(), Some("cora"));
+        assert_eq!(r.parsed.positional(0), Some("cora"));
         assert_eq!(r.parsed.value("--json"), Some("out.jsonl"));
     }
 }

@@ -28,7 +28,7 @@ use crate::args::{Args, Flags};
 pub const FLAGS: Flags = Flags {
     switches: &[],
     options: &["--json", "--validate"],
-    positional: true,
+    positionals: 1,
 };
 
 fn json_line(report: &CampaignReport, row_index: usize) -> String {
@@ -155,7 +155,7 @@ fn mode(args: &Args) -> Result<Mode, String> {
         return Ok(Mode::Validate(path.to_string()));
     }
     Ok(Mode::Run {
-        dataset: args.positional().map_or(Ok(Dataset::Ddi), parse_dataset)?,
+        dataset: args.positional(0).map_or(Ok(Dataset::Ddi), parse_dataset)?,
         json_path: args.value("--json").map(str::to_string),
     })
 }

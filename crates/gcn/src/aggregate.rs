@@ -11,59 +11,6 @@ use gopim_obs::metrics::LazyCounter;
 static AGG_CALLS: LazyCounter = LazyCounter::new("gcn.aggregate.calls");
 static AGG_EDGES: LazyCounter = LazyCounter::new("gcn.aggregate.edges");
 
-/// A neighborhood propagation operator `P` applied as `P · X`.
-///
-/// Backpropagation needs `Pᵀ`; symmetric operators (like the GCN's
-/// `Â`) get it for free via the default method.
-pub trait Propagation {
-    /// Computes `P · X`.
-    fn propagate(&self, graph: &CsrGraph, x: &Matrix) -> Matrix;
-
-    /// Computes `Pᵀ · X` (defaults to [`Propagation::propagate`] for
-    /// symmetric operators).
-    fn propagate_transpose(&self, graph: &CsrGraph, x: &Matrix) -> Matrix {
-        self.propagate(graph, x)
-    }
-
-    /// Computes `P · X` into `out`, overwriting its contents — the
-    /// allocation-free form used by the arena-backed training path.
-    /// The default copies [`Propagation::propagate`]'s result; the
-    /// in-repo operators override it to write `out` directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out`'s shape differs from the result's.
-    fn propagate_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
-        let r = self.propagate(graph, x);
-        assert_eq!(out.shape(), r.shape(), "propagate output shape mismatch");
-        out.as_mut_slice().copy_from_slice(r.as_slice());
-    }
-
-    /// Computes the listed rows of `Pᵀ · X` into `out` and writes
-    /// every other row of `out` as `+0.0`, overwriting all of it. The
-    /// backward pass asks only for the rows of fresh vertices: a stale
-    /// vertex's combined features are a crossbar-resident constant,
-    /// so no gradient reaches them. The default computes the whole
-    /// product and then zeroes the unlisted rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out`'s shape differs from the result's or `rows` is
-    /// not strictly ascending within the vertex range.
-    fn propagate_transpose_rows_into(
-        &self,
-        graph: &CsrGraph,
-        x: &Matrix,
-        rows: &[usize],
-        out: &mut Matrix,
-    ) {
-        let r = self.propagate_transpose(graph, x);
-        assert_eq!(out.shape(), r.shape(), "propagate output shape mismatch");
-        out.as_mut_slice().copy_from_slice(r.as_slice());
-        zero_unlisted_rows(out, rows);
-    }
-}
-
 /// Writes `+0.0` over every row of `m` not in `rows` (strictly
 /// ascending).
 ///
@@ -173,124 +120,16 @@ impl NormalizedAdjacency {
                     out_row.fill(0.0);
                     continue;
                 }
-                let sv = self.inv_sqrt_deg[v];
                 gopim_linalg::simd::gather_row(
                     out_row,
                     xs,
                     d,
                     v,
-                    sv * sv,
                     graph.neighbors(v),
-                    gopim_linalg::simd::NeighborCoeffs::Scaled {
-                        scale: sv,
-                        table: &self.inv_sqrt_deg,
-                    },
+                    &self.inv_sqrt_deg,
                 );
             }
         });
-    }
-}
-
-impl Propagation for NormalizedAdjacency {
-    fn propagate(&self, graph: &CsrGraph, x: &Matrix) -> Matrix {
-        self.apply(graph, x)
-    }
-
-    fn propagate_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
-        self.apply_into(graph, x, out);
-    }
-
-    // Symmetric: the transpose is the same operator.
-    fn propagate_transpose_rows_into(
-        &self,
-        graph: &CsrGraph,
-        x: &Matrix,
-        rows: &[usize],
-        out: &mut Matrix,
-    ) {
-        self.apply_rows_into(graph, x, rows, out);
-    }
-}
-
-/// GraphSAGE-style mean aggregation `M = D⁻¹(A + I)`: each vertex's
-/// new feature is the mean of its own and its neighbors' features.
-/// Unlike `Â`, `M` is not symmetric, so backprop uses the explicit
-/// transpose `Mᵀ = (A + I)D⁻¹`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MeanAggregator;
-
-impl MeanAggregator {
-    /// A mean aggregator (stateless).
-    pub fn new() -> Self {
-        MeanAggregator
-    }
-}
-
-impl Propagation for MeanAggregator {
-    fn propagate(&self, graph: &CsrGraph, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(graph.num_vertices(), x.cols());
-        self.propagate_into(graph, x, &mut out);
-        out
-    }
-
-    fn propagate_into(&self, graph: &CsrGraph, x: &Matrix, out: &mut Matrix) {
-        let n = graph.num_vertices();
-        assert_eq!(x.rows(), n, "one feature row per vertex");
-        assert_eq!(out.shape(), x.shape(), "propagate output shape mismatch");
-        let d = x.cols();
-        let _span = gopim_obs::span!("gcn.aggregate.mean", n, d);
-        AGG_CALLS.add(1);
-        AGG_EDGES.add(graph.num_edges() as u64);
-        if n == 0 || d == 0 {
-            return;
-        }
-        // Same row-partitioned gather as `NormalizedAdjacency::apply`.
-        let block_rows = n.div_ceil(gopim_par::num_threads() * 4).clamp(1, n);
-        let xs = x.as_slice();
-        gopim_par::par_chunks_mut(out.as_mut_slice(), block_rows * d, |block, chunk| {
-            let v0 = block * block_rows;
-            for (dv, row) in chunk.chunks_mut(d).enumerate() {
-                let v = v0 + dv;
-                let inv = 1.0 / (1.0 + graph.degree(v) as f64);
-                gopim_linalg::simd::gather_row(
-                    row,
-                    xs,
-                    d,
-                    v,
-                    inv,
-                    graph.neighbors(v),
-                    gopim_linalg::simd::NeighborCoeffs::Uniform(inv),
-                );
-            }
-        });
-    }
-
-    // The scatter writes each row from many source vertices, so it
-    // cannot skip rows: the row form is the trait's default, which
-    // computes all of `Mᵀ · X` here and then zeroes the unlisted rows.
-    fn propagate_transpose(&self, graph: &CsrGraph, x: &Matrix) -> Matrix {
-        // Mᵀ · X: scale each source row by its 1/(1+deg), then scatter
-        // along edges (plus the self loop).
-        let n = graph.num_vertices();
-        assert_eq!(x.rows(), n, "one feature row per vertex");
-        let mut out = Matrix::zeros(n, x.cols());
-        for v in 0..n {
-            let inv = 1.0 / (1.0 + graph.degree(v) as f64);
-            // Self contribution.
-            gopim_linalg::simd::axpy(out.row_mut(v), x.row(v), inv);
-        }
-        // Scatter along edges: out[u] accumulates contributions from
-        // every v with u ∈ N(v), so rows of `out` are written from
-        // many source vertices — this pass stays serial.
-        for v in 0..n {
-            let inv = 1.0 / (1.0 + graph.degree(v) as f64);
-            for &u in graph.neighbors(v) {
-                // Column v of M has entries inv at rows v and its
-                // neighbors ⇒ scatter x[v]·inv_v into out[u].
-                gopim_linalg::simd::axpy(out.row_mut(u as usize), x.row(v), inv);
-            }
-        }
-        out
     }
 }
 
@@ -351,51 +190,18 @@ mod tests {
     }
 
     #[test]
-    fn mean_aggregator_averages_the_closed_neighborhood() {
-        let g = path3();
-        let m = MeanAggregator::new();
-        let x = Matrix::from_rows(&[&[3.0], &[0.0], &[6.0]]);
-        let y = m.propagate(&g, &x);
-        // Vertex 1 sees mean(3, 0, 6) = 3.
-        assert!((y[(1, 0)] - 3.0).abs() < 1e-12);
-        // Vertex 0 sees mean(3, 0) = 1.5.
-        assert!((y[(0, 0)] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_aggregator_transpose_is_the_adjoint() {
-        // x'·(Mᵀy) == (Mx)'·y for all x, y.
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let m = MeanAggregator::new();
-        let x = Matrix::from_rows(&[&[1.0], &[-2.0], &[0.5], &[3.0], &[0.7]]);
-        let y = Matrix::from_rows(&[&[0.3], &[1.2], &[-0.7], &[0.9], &[-1.1]]);
-        let mx = m.propagate(&g, &x);
-        let mty = m.propagate_transpose(&g, &y);
-        let dot = |a: &Matrix, b: &Matrix| -> f64 { (0..5).map(|i| a[(i, 0)] * b[(i, 0)]).sum() };
-        assert!((dot(&x, &mty) - dot(&mx, &y)).abs() < 1e-12);
-    }
-
-    #[test]
     fn propagation_bits_do_not_depend_on_thread_count() {
         let g = CsrGraph::from_edges(60, &(0..59).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let x = Matrix::from_vec(60, 5, (0..300).map(|i| ((i as f64) * 0.41).sin()).collect());
         let norm = NormalizedAdjacency::new(&g);
-        let mean = MeanAggregator::new();
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let serial =
-            gopim_par::Pool::new(1).install(|| (norm.apply(&g, &x), mean.propagate(&g, &x)));
+        let serial = gopim_par::Pool::new(1).install(|| norm.apply(&g, &x));
         for threads in [2, 8] {
-            let par = gopim_par::Pool::new(threads)
-                .install(|| (norm.apply(&g, &x), mean.propagate(&g, &x)));
+            let par = gopim_par::Pool::new(threads).install(|| norm.apply(&g, &x));
             assert_eq!(
-                bits(&par.0),
-                bits(&serial.0),
+                bits(&par),
+                bits(&serial),
                 "Â·X changed at {threads} threads"
-            );
-            assert_eq!(
-                bits(&par.1),
-                bits(&serial.1),
-                "M·X changed at {threads} threads"
             );
         }
     }

@@ -34,9 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod link;
-pub mod metrics;
-pub mod minibatch;
 pub mod model;
 pub mod selective;
 pub mod train;

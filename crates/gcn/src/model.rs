@@ -14,7 +14,7 @@ use gopim_linalg::optimizer::Adam;
 use gopim_linalg::Matrix;
 use gopim_obs::metrics::LazyCounter;
 
-use crate::aggregate::{unlisted, zero_unlisted_rows, Propagation};
+use crate::aggregate::{unlisted, zero_unlisted_rows, NormalizedAdjacency};
 use crate::selective::StaleFeatureCache;
 
 /// Rows of combination (forward) and backward work skipped because
@@ -29,7 +29,7 @@ static ROWS_SKIPPED: LazyCounter = LazyCounter::new("gcn.isu.rows_skipped");
 /// With an ISU cache an epoch computes only the rows the cache
 /// rewrites: the combination of its fresh vertices (straight into the
 /// cache's crossbar-resident matrix), and in the backward pass their
-/// rows of `Pᵀ·δ`, their terms of `∇W = Xᵀ·δ` and their rows of
+/// rows of `Â·δ`, their terms of `∇W = Xᵀ·δ` and their rows of
 /// `δ·Wᵀ`. A stale row's gradient is `+0.0`, so leaving its terms out
 /// keeps every output bit (DESIGN.md §11 gives the argument and its
 /// finite-operand guards), and an epoch with no stale row runs the same
@@ -43,7 +43,7 @@ static ROWS_SKIPPED: LazyCounter = LazyCounter::new("gcn.isu.rows_skipped");
 /// itself) the forward buffers. Every buffer the arena holds is one it
 /// handed out, so after the first epoch its free list stays at one
 /// buffer per live temporary and the epoch loop stops allocating them;
-/// the unit tests pin that for plain, ISU and link training. Only the
+/// the unit tests pin that for plain and ISU training. Only the
 /// output gradient, which the loss accumulates into, is zero-filled;
 /// every other buffer is one a kernel overwrites whole (the arena's
 /// write-once rule).
@@ -52,20 +52,6 @@ pub struct GcnModel {
     weights: Vec<Matrix>,
     optimizers: Vec<Adam>,
     scratch: RefCell<BufferArena>,
-}
-
-impl Clone for GcnModel {
-    /// Clones the weights and optimizer state; the clone's scratch
-    /// arena starts empty, since arena contents never reach the
-    /// numerics (the weight-staleness path snapshots a model every
-    /// epoch).
-    fn clone(&self) -> Self {
-        GcnModel {
-            weights: self.weights.clone(),
-            optimizers: self.optimizers.clone(),
-            scratch: RefCell::default(),
-        }
-    }
 }
 
 impl GcnModel {
@@ -123,12 +109,12 @@ impl GcnModel {
     ///
     /// Panics if `x.rows() != graph.num_vertices()` or the feature
     /// width mismatches the first layer.
-    pub fn forward(&self, graph: &CsrGraph, prop: &dyn Propagation, x: &Matrix) -> Matrix {
+    pub fn forward(&self, graph: &CsrGraph, adj: &NormalizedAdjacency, x: &Matrix) -> Matrix {
         let mut h = x.clone();
         let last = self.num_layers() - 1;
         for (l, w) in self.weights.iter().enumerate() {
             let combined = h.matmul(w);
-            let aggregated = prop.propagate(graph, &combined);
+            let aggregated = adj.apply(graph, &combined);
             h = if l == last {
                 aggregated
             } else {
@@ -145,7 +131,7 @@ impl GcnModel {
     pub fn forward_with_caches(
         &self,
         graph: &CsrGraph,
-        prop: &dyn Propagation,
+        adj: &NormalizedAdjacency,
         x: &Matrix,
         mut cache: Option<&mut StaleFeatureCache>,
         epoch: usize,
@@ -178,13 +164,13 @@ impl GcnModel {
                     let (features, fresh) = c.refresh(l, epoch, w.cols(), |rows, out| {
                         input.matmul_rows_into(w, rows, out);
                     });
-                    prop.propagate_into(graph, features, &mut aggregated);
+                    adj.apply_into(graph, features, &mut aggregated);
                     fresh
                 }
                 None => {
                     let mut combined = arena.alloc_unzeroed(n, w.cols());
                     input.matmul_into(w, &mut combined);
-                    prop.propagate_into(graph, &combined, &mut aggregated);
+                    adj.apply_into(graph, &combined, &mut aggregated);
                     arena.recycle(combined);
                     (0..n).collect()
                 }
@@ -225,7 +211,7 @@ impl GcnModel {
     /// `caches.output()`, backed by the model's arena. Hand it to
     /// [`GcnModel::gradients`] or [`GcnModel::backward`], which return
     /// its storage to the arena, so the free list stays bounded.
-    pub(crate) fn output_grad(&self, caches: &ForwardCaches) -> Matrix {
+    fn output_grad(&self, caches: &ForwardCaches) -> Matrix {
         let (rows, cols) = caches.output().shape();
         self.scratch.borrow_mut().alloc(rows, cols)
     }
@@ -250,7 +236,7 @@ impl GcnModel {
     pub fn gradients(
         &self,
         graph: &CsrGraph,
-        prop: &dyn Propagation,
+        adj: &NormalizedAdjacency,
         caches: &ForwardCaches,
         mut delta: Matrix,
     ) -> Vec<Matrix> {
@@ -261,9 +247,9 @@ impl GcnModel {
             caches.pre_acts[last].shape(),
             "output gradient shape mismatch"
         );
-        // δ_pre = δ ⊙ σ'; δ_combined = Pᵀ δ_pre (P = Â is symmetric,
-        // the mean aggregator is not) on the fresh rows, +0.0 on the
-        // stale ones (constants); ∇W = Xᵀ δ_combined; δ_prev =
+        // δ_pre = δ ⊙ σ'; δ_combined = Âᵀ δ_pre = Â δ_pre (Â is
+        // symmetric) on the fresh rows, +0.0 on the stale ones
+        // (constants); ∇W = Xᵀ δ_combined; δ_prev =
         // δ_combined Wᵀ. All `N × d` temporaries come from the arena;
         // only the weight-shaped gradients escape.
         let mut arena = self.scratch.borrow_mut();
@@ -276,7 +262,7 @@ impl GcnModel {
             let fresh = &caches.fresh_rows[l];
             ROWS_SKIPPED.add((n - fresh.len()) as u64);
             let mut d_combined = arena.alloc_unzeroed(n, delta.cols());
-            prop.propagate_transpose_rows_into(graph, &delta, fresh, &mut d_combined);
+            adj.apply_rows_into(graph, &delta, fresh, &mut d_combined);
             let input = &caches.inputs[l];
             grads[l] = input.matmul_tn_rows(&d_combined, &gradient_rows(fresh, input));
             if l > 0 {
@@ -303,8 +289,7 @@ impl GcnModel {
     }
 
     /// Applies one Adam step per layer with the given gradients (as
-    /// produced by [`GcnModel::gradients`], possibly accumulated over
-    /// micro-batches first).
+    /// produced by [`GcnModel::gradients`]).
     ///
     /// # Panics
     ///
@@ -325,11 +310,11 @@ impl GcnModel {
     pub fn backward(
         &mut self,
         graph: &CsrGraph,
-        prop: &dyn Propagation,
+        adj: &NormalizedAdjacency,
         caches: &ForwardCaches,
         delta: Matrix,
     ) {
-        let grads = self.gradients(graph, prop, caches, delta);
+        let grads = self.gradients(graph, adj, caches, delta);
         self.apply_gradients(&grads);
     }
 
@@ -351,7 +336,7 @@ impl GcnModel {
     pub fn train_epoch(
         &mut self,
         graph: &CsrGraph,
-        prop: &dyn Propagation,
+        adj: &NormalizedAdjacency,
         x: &Matrix,
         labels: &[u32],
         train_mask: &[bool],
@@ -361,10 +346,10 @@ impl GcnModel {
         let n = graph.num_vertices();
         assert_eq!(labels.len(), n, "one label per vertex");
         assert_eq!(train_mask.len(), n, "one mask bit per vertex");
-        let caches = self.forward_with_caches(graph, prop, x, cache, epoch);
+        let caches = self.forward_with_caches(graph, adj, x, cache, epoch);
         let mut delta = self.output_grad(&caches);
         let loss = masked_cross_entropy(caches.output(), labels, train_mask, &mut delta);
-        self.backward(graph, prop, &caches, delta);
+        self.backward(graph, adj, &caches, delta);
         self.recycle_caches(caches);
         loss
     }
@@ -395,12 +380,7 @@ fn gradient_rows<'a>(fresh: &'a [usize], x: &Matrix) -> Cow<'a, [usize]> {
 /// # Panics
 ///
 /// Panics if the mask selects no row.
-pub(crate) fn masked_cross_entropy(
-    logits: &Matrix,
-    labels: &[u32],
-    mask: &[bool],
-    delta: &mut Matrix,
-) -> f64 {
+fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool], delta: &mut Matrix) -> f64 {
     let rows: Vec<usize> = (0..labels.len()).filter(|&v| mask[v]).collect();
     assert!(!rows.is_empty(), "empty training mask");
     let mut sub = Matrix::zeros(rows.len(), logits.cols());
@@ -527,21 +507,6 @@ mod tests {
         }
         let acc = accuracy(&model.forward(&g, &norm, &x), &labels);
         assert!(acc > 0.7, "accuracy with staleness {acc}");
-    }
-
-    #[test]
-    fn sage_mean_aggregation_trains_too() {
-        use crate::aggregate::MeanAggregator;
-        let (g, labels) = planted_partition(200, 3, 10.0, 8.0, 12);
-        let x = features_from_labels(&labels, 3, 13);
-        let mut model = GcnModel::new(&[5, 16, 3], 0.02, 14);
-        let mask = vec![true; 200];
-        let sage = MeanAggregator::new();
-        for e in 0..40 {
-            model.train_epoch(&g, &sage, &x, &labels, &mask, None, e);
-        }
-        let acc = accuracy(&model.forward(&g, &sage, &x), &labels);
-        assert!(acc > 0.8, "SAGE accuracy {acc}");
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl StaleFeatureCache {
         self.frozen.iter().filter(|&&f| f).count()
     }
 
-    /// Number of vertices marked unimportant (never refreshed eagerly).
-    pub fn num_stale_candidates(&self) -> usize {
-        self.important.iter().filter(|&&i| !i).count()
-    }
-
     /// Applies the update schedule for `epoch` at `layer`: `combine`
     /// gets the rows that update this epoch (ascending; every row on
     /// the layer's first epoch) and writes their combined features

@@ -9,7 +9,7 @@ use gopim_rng::rngs::SmallRng;
 use gopim_rng::{Rng, SeedableRng};
 
 use crate::aggregate::NormalizedAdjacency;
-use crate::model::{masked_cross_entropy, GcnModel};
+use crate::model::GcnModel;
 use crate::selective::StaleFeatureCache;
 
 /// Options for one training run.
@@ -29,10 +29,6 @@ pub struct TrainOptions {
     /// ISU policy; `None` trains with every vertex fresh every epoch
     /// (the GoPIM-Vanilla numeric behaviour).
     pub selective: Option<SelectivePolicy>,
-    /// Gradient delay in epochs (inter-batch pipelining's bounded
-    /// staleness, §IV-A: the next batch starts before the previous
-    /// weight update lands). 0 = synchronous.
-    pub weight_staleness: usize,
     /// Vertices stranded on crossbars the fault layer killed: their
     /// cached features stop refreshing at `freeze_epoch`. Empty =
     /// the fault-free path, bit-identical to a build without the
@@ -47,14 +43,13 @@ pub struct TrainOptions {
 
 impl gopim_cache::CanonicalHash for TrainOptions {
     fn canonical_hash(&self, h: &mut gopim_cache::CanonicalHasher) {
-        h.write_tag("gcn.train_options/v1");
+        h.write_tag("gcn.train_options/v2");
         h.write_usize(self.hidden);
         h.write_usize(self.num_layers);
         h.write_usize(self.epochs);
         h.write_f64(self.learning_rate);
         h.write_f64(self.train_fraction);
         self.selective.canonical_hash(h);
-        h.write_usize(self.weight_staleness);
         self.frozen_vertices.canonical_hash(h);
         h.write_usize(self.freeze_epoch);
         h.write_u64(self.seed);
@@ -71,7 +66,6 @@ impl TrainOptions {
             learning_rate: 0.02,
             train_fraction: 0.6,
             selective: None,
-            weight_staleness: 0,
             frozen_vertices: Vec::new(),
             freeze_epoch: 0,
             seed: 1,
@@ -87,7 +81,6 @@ impl TrainOptions {
             learning_rate: 0.01,
             train_fraction: 0.6,
             selective: None,
-            weight_staleness: 0,
             frozen_vertices: Vec::new(),
             freeze_epoch: 0,
             seed: 11,
@@ -180,10 +173,6 @@ pub fn train_gcn(graph: &CsrGraph, labels: &[u32], options: &TrainOptions) -> Tr
         None
     };
 
-    // Bounded staleness: gradients are computed against a weight
-    // snapshot `weight_staleness` epochs old, then applied to the
-    // current weights (the asynchrony inter-batch pipelining creates).
-    let mut snapshots: std::collections::VecDeque<GcnModel> = std::collections::VecDeque::new();
     let mut final_loss = 0.0;
     for epoch in 0..options.epochs {
         if !options.frozen_vertices.is_empty() && epoch == options.freeze_epoch {
@@ -191,21 +180,8 @@ pub fn train_gcn(graph: &CsrGraph, labels: &[u32], options: &TrainOptions) -> Tr
                 c.freeze(&options.frozen_vertices);
             }
         }
-        if options.weight_staleness == 0 {
-            final_loss =
-                model.train_epoch(graph, &norm, &x, labels, &train_mask, cache.as_mut(), epoch);
-        } else {
-            snapshots.push_back(model.clone());
-            if snapshots.len() > options.weight_staleness {
-                // lint:allow(no-panic-in-lib): guarded by the len() > weight_staleness check above
-                let stale = snapshots.pop_front().expect("non-empty queue");
-                let caches = stale.forward_with_caches(graph, &norm, &x, cache.as_mut(), epoch);
-                let mut delta = stale.output_grad(&caches);
-                final_loss = masked_cross_entropy(caches.output(), labels, &train_mask, &mut delta);
-                let grads = stale.gradients(graph, &norm, &caches, delta);
-                model.apply_gradients(&grads);
-            }
-        }
+        final_loss =
+            model.train_epoch(graph, &norm, &x, labels, &train_mask, cache.as_mut(), epoch);
     }
 
     let logits = model.forward(graph, &norm, &x);
@@ -296,27 +272,6 @@ mod tests {
         noop.frozen_vertices = Vec::new();
         noop.freeze_epoch = 7;
         assert_eq!(train_gcn(&g, &labels, &noop), clean);
-    }
-
-    #[test]
-    fn bounded_staleness_barely_moves_accuracy() {
-        // The inter-batch pipeline's 1-epoch gradient delay (§IV-A)
-        // must be accuracy-neutral — that is what lets GoPIM overlap
-        // batches at all.
-        let (g, labels) = planted_partition(240, 3, 12.0, 8.0, 9);
-        let mut sync_opts = TrainOptions::quick_test();
-        sync_opts.epochs = 40;
-        let sync = train_gcn(&g, &labels, &sync_opts);
-        let mut stale_opts = sync_opts.clone();
-        stale_opts.weight_staleness = 1;
-        stale_opts.epochs = 41; // one warm-up epoch fills the queue
-        let stale = train_gcn(&g, &labels, &stale_opts);
-        assert!(
-            (sync.test_accuracy - stale.test_accuracy).abs() < 0.1,
-            "sync {} vs stale {}",
-            sync.test_accuracy,
-            stale.test_accuracy
-        );
     }
 
     #[test]

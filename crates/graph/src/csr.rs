@@ -189,33 +189,6 @@ impl CsrGraph {
         }
         Ok(())
     }
-
-    /// Extracts the induced subgraph on `keep` (vertex ids into `self`),
-    /// relabelling vertices as `0..keep.len()` in the order given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` contains an out-of-range or duplicate vertex.
-    pub fn induced_subgraph(&self, keep: &[u32]) -> CsrGraph {
-        let mut relabel = vec![u32::MAX; self.num_vertices()];
-        for (new, &old) in keep.iter().enumerate() {
-            assert!(
-                relabel[old as usize] == u32::MAX,
-                "duplicate vertex {old} in keep set"
-            );
-            relabel[old as usize] = new as u32;
-        }
-        let mut edges = Vec::new();
-        for (new_u, &old_u) in keep.iter().enumerate() {
-            for &old_v in self.neighbors(old_u as usize) {
-                let new_v = relabel[old_v as usize];
-                if new_v != u32::MAX && (new_u as u32) < new_v {
-                    edges.push((new_u as u32, new_v));
-                }
-            }
-        }
-        CsrGraph::from_edges(keep.len(), &edges)
-    }
 }
 
 impl fmt::Debug for CsrGraph {
@@ -284,15 +257,6 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.avg_degree(), 0.0);
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = diamond();
-        let sub = g.induced_subgraph(&[0, 1, 2]);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3); // 0-1, 1-2, 0-2
-        sub.validate().unwrap();
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use gopim_obs::metrics::LazyCounter;
 use gopim_rng::rngs::SmallRng;
-use gopim_rng::seq::SliceRandom;
 use gopim_rng::{Rng, SeedableRng};
 
 use crate::csr::CsrGraph;
@@ -625,33 +624,6 @@ pub fn degree_corrected_partition(
     (CsrGraph::from_edges(n, &edges), labels)
 }
 
-/// Density-preserving subsample: keeps `keep_n` random vertices and
-/// rescales nothing else — on power-law graphs the induced subgraph's
-/// average degree shrinks, so this picks vertices with probability
-/// proportional to degree to keep the density character of the original.
-///
-/// Used to shrink large datasets for numeric training while preserving
-/// the dense/sparse classification that drives ISU's adaptive θ.
-pub fn degree_weighted_sample(graph: &CsrGraph, keep_n: usize, seed: u64) -> CsrGraph {
-    let n = graph.num_vertices();
-    if keep_n >= n {
-        return graph.clone();
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Weighted sampling without replacement (Efraimidis–Spirakis): each
-    // vertex gets key u^(1/w); the keep_n largest keys win.
-    let mut keyed: Vec<(f64, u32)> = (0..n as u32)
-        .map(|v| {
-            let w = graph.degree(v as usize) as f64 + 1.0;
-            (rng.gen::<f64>().powf(1.0 / w), v)
-        })
-        .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut keep: Vec<u32> = keyed[..keep_n].iter().map(|&(_, v)| v).collect();
-    keep.shuffle(&mut rng);
-    graph.induced_subgraph(&keep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,16 +868,5 @@ mod tests {
         let (g, _) = degree_corrected_partition(800, 4, 12.0, 4.0, 0.6, 13);
         let rel = (g.avg_degree() - 12.0).abs() / 12.0;
         assert!(rel < 0.35, "avg degree {}", g.avg_degree());
-    }
-
-    #[test]
-    fn degree_weighted_sample_preserves_density_character() {
-        let p = power_law_profile(1500, 30.0, 0.8, 0.3, 8);
-        let g = chung_lu(&p, 9);
-        let sub = degree_weighted_sample(&g, 500, 10);
-        sub.validate().unwrap();
-        assert_eq!(sub.num_vertices(), 500);
-        // Degree-weighted sampling should retain a dense core.
-        assert!(sub.avg_degree() > 8.0, "avg {}", sub.avg_degree());
     }
 }

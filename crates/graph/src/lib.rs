@@ -17,7 +17,6 @@
 //!   the substitution rationale).
 //! - [`generate`]: power-law (Chung–Lu), Erdős–Rényi and planted-partition
 //!   (SBM) generators.
-//! - [`partition`]: micro-batch partitioning used by the pipeline model.
 //!
 //! # Example
 //!
@@ -32,14 +31,11 @@
 
 #![warn(missing_docs)]
 
-pub mod components;
 pub mod csr;
 pub mod datasets;
 pub mod degree;
 pub mod generate;
 pub mod io;
-pub mod partition;
-pub mod sparsify;
 
 pub use csr::CsrGraph;
 pub use degree::{DegreeProfile, DegreeStats};

@@ -1,7 +1,6 @@
 //! Property-based tests for the graph substrate (gopim-testkit).
 
 use gopim_graph::generate::{chung_lu, erdos_renyi, planted_partition, power_law_profile};
-use gopim_graph::partition::MicroBatchPlan;
 use gopim_graph::{CsrGraph, DegreeProfile};
 use gopim_testkit::gen;
 use gopim_testkit::prop::{check_with, Config};
@@ -18,27 +17,6 @@ fn csr_from_arbitrary_edges_is_always_valid() {
             // Handshake lemma.
             let total: usize = (0..n).map(|v| g.degree(v)).sum();
             assert_eq!(total, 2 * g.num_edges());
-        },
-    );
-}
-
-#[test]
-fn induced_subgraph_preserves_validity_and_bounds() {
-    check_with(
-        "induced_subgraph_preserves_validity_and_bounds",
-        Config::cases(64),
-        |d| {
-            let n = d.draw("n", 2usize..48);
-            let edges = d.vec("edges", 0usize..120, |d| {
-                (d.draw("u", 0..n as u32), d.draw("v", 0..n as u32))
-            });
-            let g = CsrGraph::from_edges(n, &edges);
-            let keep_bits = d.vec("keep_bits", n..n + 1, |d| d.any_bool("bit"));
-            let keep: Vec<u32> = (0..n as u32).filter(|&v| keep_bits[v as usize]).collect();
-            let sub = g.induced_subgraph(&keep);
-            assert!(sub.validate().is_ok());
-            assert_eq!(sub.num_vertices(), keep.len());
-            assert!(sub.num_edges() <= g.num_edges());
         },
     );
 }
@@ -116,25 +94,6 @@ fn degree_ranks_invert_the_ranking() {
             assert_eq!(ranks[v as usize] as usize, r, "vertex {v}");
         }
     });
-}
-
-#[test]
-fn micro_batch_plan_partitions_exactly() {
-    check_with(
-        "micro_batch_plan_partitions_exactly",
-        Config::cases(64),
-        |d| {
-            let n = d.draw("n", 0usize..10_000);
-            let b = d.draw("b", 1usize..512);
-            let plan = MicroBatchPlan::contiguous(n, b);
-            let covered: usize = plan.iter().map(|r| r.len()).sum();
-            assert_eq!(covered, n);
-            for r in plan.iter() {
-                assert!(r.len() <= b);
-                assert!(!r.is_empty());
-            }
-        },
-    );
 }
 
 #[test]

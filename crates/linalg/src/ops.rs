@@ -128,26 +128,6 @@ pub fn sum_rows_into(a: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// In-place accumulation `acc += x`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn accumulate(acc: &mut Matrix, x: &Matrix) {
-    assert_eq!(acc.shape(), x.shape(), "shape mismatch in accumulate");
-    let elems = acc.as_slice().len();
-    let _span = gopim_obs::span!("linalg.accumulate", elems);
-    ELEMWISE_CALLS.add(1);
-    ELEMWISE_ELEMS.add(elems as u64);
-    let xs = x.as_slice();
-    gopim_par::par_chunks_mut(acc.as_mut_slice(), ELEMWISE_CHUNK, |i, chunk| {
-        let base = i * ELEMWISE_CHUNK;
-        for (a, &b) in chunk.iter_mut().zip(&xs[base..]) {
-            *a += b;
-        }
-    });
-}
-
 fn zip(a: &Matrix, b: &Matrix, f: impl Fn(f64, f64) -> f64 + Sync) -> Matrix {
     let elems = a.as_slice().len();
     let _span = gopim_obs::span!("linalg.zip", elems);
@@ -197,14 +177,6 @@ mod tests {
         let mut out = Matrix::from_rows(&[&[9.0, -9.0]]);
         sum_rows_into(&a, &mut out);
         assert_eq!(out, Matrix::from_rows(&[&[4.0, 6.0]]));
-    }
-
-    #[test]
-    fn accumulate_adds_in_place() {
-        let mut acc = Matrix::zeros(1, 2);
-        accumulate(&mut acc, &Matrix::from_rows(&[&[1.0, 2.0]]));
-        accumulate(&mut acc, &Matrix::from_rows(&[&[1.0, 2.0]]));
-        assert_eq!(acc, Matrix::from_rows(&[&[2.0, 4.0]]));
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! [`set_simd_enabled`] lets the differential tests
 //! (`tests/kernel_equivalence.rs`) run both in one process.
 //!
-//! [`gather_row`] is the CSR aggregation kernel: for one output row it
-//! holds a tile of up to `GATHER_TILE` (16) columns in registers across
-//! the vertex's neighbor list (the self-loop first), starting from
-//! `0.0`, then stores the tile once, so the output row needs no
-//! zero-fill beforehand. The 1–15-column remainder is one more tile of exactly
-//! that width, so narrow rows such as the link datasets' `d = 2` logits
-//! also run on register accumulators. [`gather_row_scalar`] is the
-//! reference it is pinned against.
+//! [`gather_row`] is the CSR kernel of the normalized-adjacency
+//! aggregation: for one output row it holds a tile of up to
+//! `GATHER_TILE` (16) columns in registers across the vertex's neighbor
+//! list (the self-loop first), starting from `0.0`, then stores the
+//! tile once, so the output row needs no zero-fill beforehand. The
+//! 1–15-column remainder is one more tile of exactly that width, so
+//! narrow rows such as the link datasets' `d = 2` logits also run on
+//! register accumulators. [`gather_row_scalar`] is the reference it is
+//! pinned against.
 
 use gopim_obs::EnvFlag;
 
@@ -102,45 +103,9 @@ pub(crate) fn mac(acc: f64, a: f64, b: f64) -> f64 {
 
 /// Reference AXPY: `dst[j] ← dst[j] + c·src[j]` element-wise.
 #[inline(always)]
-pub fn axpy_scalar(dst: &mut [f64], src: &[f64], c: f64) {
+fn axpy_scalar(dst: &mut [f64], src: &[f64], c: f64) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = mac(*d, c, s);
-    }
-}
-
-isa_dispatch! {
-    /// AXPY over one row: `dst[j] ← dst[j] + c·src[j]`, from the AVX2
-    /// build when active.
-    ///
-    /// Bit-identical to [`axpy_scalar`] on every dispatch path. Operates
-    /// on the overlapping prefix if the slices have different lengths
-    /// (like the scalar `zip`).
-    pub fn axpy(dst: &mut [f64], src: &[f64], c: f64) => axpy_scalar
-}
-
-/// Per-neighbor coefficient rule for [`gather_row`].
-#[derive(Debug, Clone, Copy)]
-pub enum NeighborCoeffs<'a> {
-    /// `coeff(u) = scale * table[u]` — the normalized-adjacency rule.
-    Scaled {
-        /// The output vertex's own factor (its `1/√(1+deg)`).
-        scale: f64,
-        /// Per-vertex factors indexed by neighbor id (`1/√(1+deg)`).
-        table: &'a [f64],
-    },
-    /// `coeff(u) = c` for every neighbor — the mean-aggregation rule.
-    Uniform(f64),
-}
-
-impl NeighborCoeffs<'_> {
-    /// The coefficient for neighbor `u`: one `f64` multiply in the
-    /// scaled case, the same in the kernel and the reference.
-    #[inline(always)]
-    fn coeff(&self, u: u32) -> f64 {
-        match *self {
-            NeighborCoeffs::Scaled { scale, table } => scale * table[u as usize],
-            NeighborCoeffs::Uniform(c) => c,
-        }
     }
 }
 
@@ -154,22 +119,26 @@ const GATHER_TILE: usize = 16;
 const GATHER_CHUNK: usize = 32;
 
 /// Reference row gather: overwrite `dst` (row `v`'s output, length
-/// `d`) with `0.0`, then accumulate `self_coeff · x[v]` and
-/// `coeff(u) · x[u]` for each neighbor in order. `x` is a row-major
-/// `n × d` matrix.
+/// `d`) with `0.0`, then accumulate `scale[v]·scale[u] · x[u]` for the
+/// self-loop `u = v` and then each neighbor in order — row `v` of
+/// `S(A + I)S · X` for `S = diag(scale)`, the normalized adjacency when
+/// `scale[u] = 1/√(1 + deg u)`. `x` is a row-major `n × d` matrix.
 pub fn gather_row_scalar(
     dst: &mut [f64],
     x: &[f64],
     d: usize,
     v: usize,
-    self_coeff: f64,
     neighbors: &[u32],
-    coeffs: NeighborCoeffs,
+    scale: &[f64],
 ) {
     dst.fill(0.0);
-    axpy_scalar(dst, &x[v * d..v * d + d], self_coeff);
+    axpy_scalar(dst, &x[v * d..v * d + d], scale[v] * scale[v]);
     for &u in neighbors {
-        axpy_scalar(dst, &x[u as usize * d..u as usize * d + d], coeffs.coeff(u));
+        axpy_scalar(
+            dst,
+            &x[u as usize * d..u as usize * d + d],
+            scale[v] * scale[u as usize],
+        );
     }
 }
 
@@ -186,28 +155,20 @@ isa_dispatch! {
     ///
     /// # Panics
     ///
-    /// Panics if `dst.len() != d` or a source row is out of bounds of `x`.
+    /// Panics if `dst.len() != d` or a source row is out of bounds of
+    /// `x` or of `scale`.
     pub fn gather_row(
         dst: &mut [f64],
         x: &[f64],
         d: usize,
         v: usize,
-        self_coeff: f64,
         neighbors: &[u32],
-        coeffs: NeighborCoeffs,
+        scale: &[f64],
     ) => gather_tiles
 }
 
 #[inline(always)]
-fn gather_tiles(
-    dst: &mut [f64],
-    x: &[f64],
-    d: usize,
-    v: usize,
-    self_coeff: f64,
-    neighbors: &[u32],
-    coeffs: NeighborCoeffs,
-) {
+fn gather_tiles(dst: &mut [f64], x: &[f64], d: usize, v: usize, neighbors: &[u32], scale: &[f64]) {
     assert_eq!(dst.len(), d, "one output row of width d");
     if d == 0 {
         return;
@@ -217,7 +178,8 @@ fn gather_tiles(
     // is range-checked here, once, so the tiles can load unchecked.
     let mut terms = [(0usize, 0.0f64); GATHER_CHUNK];
     assert!(v < rows, "gather_row: row {v} out of bounds");
-    terms[0] = (v * d, self_coeff);
+    let sv = scale[v];
+    terms[0] = (v * d, sv * sv);
     let mut len = 1;
     let mut rest = neighbors;
     let mut first = true;
@@ -228,7 +190,7 @@ fn gather_tiles(
                 (u as usize) < rows,
                 "gather_row: neighbor {u} out of bounds"
             );
-            *term = (u as usize * d, coeffs.coeff(u));
+            *term = (u as usize * d, sv * scale[u as usize]);
         }
         rest = &rest[take..];
         // SAFETY: every offset in `terms` is `u·d` for a row `u < rows`
@@ -320,29 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_scalar_bitwise_across_lengths_and_alignments() {
-        // Lengths straddling the 4-lane width, and offsets that shift
-        // the slice off 32-byte alignment.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 100] {
-            for off in 0..4usize {
-                let src = filled(n + off, 0.7);
-                let base = filled(n + off, 0.3);
-                let mut simd_dst = base.clone();
-                let mut scalar_dst = base.clone();
-                axpy(&mut simd_dst[off..], &src[off..], 1.7);
-                axpy_scalar(&mut scalar_dst[off..], &src[off..], 1.7);
-                assert!(
-                    simd_dst
-                        .iter()
-                        .zip(&scalar_dst)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "axpy diverged at n={n} off={off}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gather_row_matches_scalar_bitwise_across_degrees_and_widths() {
         // Every remainder width below the 16-column tile, widths on
         // both sides of one and two whole tiles, and degrees on both
@@ -356,25 +295,17 @@ mod tests {
             for deg in [0usize, 1, 2, 7, 8, 9, 30, 31, 32, 33, 63, 64, 100] {
                 let neighbors: Vec<u32> = (0..deg).map(|i| ((i * 7 + 3) % n) as u32).collect();
                 let v = 5usize;
-                for coeffs in [
-                    NeighborCoeffs::Uniform(0.37),
-                    NeighborCoeffs::Scaled {
-                        scale: 1.2,
-                        table: &table,
-                    },
-                ] {
-                    let base = filled(d, 0.4);
-                    let mut fast = base.clone();
-                    let mut reference = base.clone();
-                    gather_row(&mut fast, &x, d, v, 0.81, &neighbors, coeffs);
-                    gather_row_scalar(&mut reference, &x, d, v, 0.81, &neighbors, coeffs);
-                    assert!(
-                        fast.iter()
-                            .zip(&reference)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "gather_row diverged at d={d} deg={deg}"
-                    );
-                }
+                let base = filled(d, 0.4);
+                let mut fast = base.clone();
+                let mut reference = base.clone();
+                gather_row(&mut fast, &x, d, v, &neighbors, &table);
+                gather_row_scalar(&mut reference, &x, d, v, &neighbors, &table);
+                assert!(
+                    fast.iter()
+                        .zip(&reference)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "gather_row diverged at d={d} deg={deg}"
+                );
             }
         }
     }
@@ -384,15 +315,7 @@ mod tests {
     fn gather_row_rejects_an_out_of_range_neighbor() {
         let x = filled(4 * 3, 0.5);
         let mut dst = vec![0.0; 3];
-        gather_row(
-            &mut dst,
-            &x,
-            3,
-            0,
-            1.0,
-            &[1, 4],
-            NeighborCoeffs::Uniform(0.5),
-        );
+        gather_row(&mut dst, &x, 3, 0, &[1, 4], &[0.5; 8]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::lockgraph;
 use crate::manifest::check_manifest;
 use crate::report::Outcome;
-use crate::rules::{check_tokens, Finding, MALFORMED_SUPPRESSION};
+use crate::rules::{check_tokens, known_rule, Finding, MALFORMED_SUPPRESSION};
 
 /// Subdirectories of a crate that hold Rust targets.
 const TARGET_DIRS: &[&str] = &["src", "tests", "benches", "examples"];
@@ -94,15 +94,25 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Finding>, usize) {
         }
     }
     for s in &ctx.suppressions {
+        let malformed = |message: String| Finding {
+            file: path.to_string(),
+            line: s.line,
+            rule: MALFORMED_SUPPRESSION.to_string(),
+            message,
+        };
         if !s.has_reason {
-            findings.push(Finding {
-                file: path.to_string(),
-                line: s.line,
-                rule: MALFORMED_SUPPRESSION.to_string(),
-                message: "`lint:allow` needs a reason: \
-                          `// lint:allow(<rule>): <why this is sound>`"
+            findings.push(malformed(
+                "`lint:allow` needs a reason: \
+                 `// lint:allow(<rule>): <why this is sound>`"
                     .to_string(),
-            });
+            ));
+        }
+        // A misspelled or retired rule name silences nothing, so it
+        // must not pass for a suppression.
+        for rule in s.rules.iter().filter(|r| !known_rule(r)) {
+            findings.push(malformed(format!(
+                "`lint:allow` names no rule the linter has: `{rule}`"
+            )));
         }
     }
     (findings, suppressed)
@@ -243,6 +253,22 @@ pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules.contains(&MALFORMED_SUPPRESSION));
         assert!(rules.contains(&"no-panic-in-lib"));
+    }
+
+    #[test]
+    fn suppressions_naming_an_unknown_rule_are_malformed() {
+        let src = "// lint:allow(no-panic-in-lb, no-print-in-lib): typo\n\
+                   pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let (findings, suppressed) = lint_source("crates/x/src/lib.rs", src);
+        assert_eq!(suppressed, 0);
+        let found: Vec<(&str, usize)> =
+            findings.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+        assert_eq!(
+            found,
+            [("no-panic-in-lib", 2), (MALFORMED_SUPPRESSION, 1)],
+            "{findings:?}"
+        );
+        assert!(findings[1].message.contains("`no-panic-in-lb`"));
     }
 
     #[test]

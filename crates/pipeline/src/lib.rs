@@ -37,7 +37,6 @@
 
 pub mod des;
 pub mod energy;
-pub mod epochs;
 pub mod latency;
 pub mod schedule;
 pub mod stage;

@@ -104,16 +104,6 @@ pub struct PipelineResult {
     pub stages: Vec<StageActivity>,
 }
 
-impl PipelineResult {
-    /// Mean idle fraction across stages.
-    pub fn mean_idle_fraction(&self) -> f64 {
-        if self.stages.is_empty() {
-            return 0.0;
-        }
-        self.stages.iter().map(|s| s.idle_fraction).sum::<f64>() / self.stages.len() as f64
-    }
-}
-
 /// Simulates the pipeline for a given per-stage replica assignment.
 ///
 /// # Panics

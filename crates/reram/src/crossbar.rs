@@ -119,31 +119,6 @@ impl FunctionalCrossbar {
         }
     }
 
-    /// Forces bitline columns into a stuck state: for each
-    /// `(column, stuck_one)` entry, every cell of that column is
-    /// pinned to zero conductance (`stuck_one = false`) or to the
-    /// full-scale code on the positive path (`stuck_one = true`).
-    /// Models hard stuck-at faults the fault campaign injects;
-    /// out-of-range columns are ignored.
-    pub fn inject_stuck_cells(&mut self, columns: &[(usize, bool)]) {
-        let full_scale = ((1i32 << (self.value_bits - 1)) - 1) as u16;
-        for &(col, stuck_one) in columns {
-            if col >= self.cols {
-                continue;
-            }
-            for row in 0..self.rows {
-                let idx = row * self.cols + col;
-                if stuck_one {
-                    self.pos[idx] = full_scale;
-                    self.neg[idx] = 0;
-                } else {
-                    self.pos[idx] = 0;
-                    self.neg[idx] = 0;
-                }
-            }
-        }
-    }
-
     /// Performs the bit-streamed analog MVM `y = xᵀ W`.
     ///
     /// The input is quantized to `value_bits` against `input_range`,
@@ -240,28 +215,6 @@ mod tests {
         for (a, b) in y.iter().zip(&y_ref) {
             assert!((a - b).abs() < 5e-3, "analog {a} vs float {b}");
         }
-    }
-
-    #[test]
-    fn stuck_at_zero_column_reads_zero_and_stuck_at_one_reads_full_scale() {
-        let spec = AcceleratorSpec::paper();
-        let w: Vec<Vec<f64>> = (0..8)
-            .map(|r| (0..4).map(|c| ((r + c) as f64 * 0.3).sin() * 0.8).collect())
-            .collect();
-        let x = vec![0.5; 8];
-        let clean = FunctionalCrossbar::program(&spec, &w, 1.0);
-        let mut faulty = clean.clone();
-        faulty.inject_stuck_cells(&[(1, false), (2, true), (99, true)]);
-        let y_clean = clean.mvm(&x, 1.0);
-        let y_faulty = faulty.mvm(&x, 1.0);
-        // Column 1 stuck at zero conductance: output exactly 0.
-        assert_eq!(y_faulty[1], 0.0);
-        // Column 2 stuck at full scale: at least the clean magnitude,
-        // and clearly positive (every cell conducts fully).
-        assert!(y_faulty[2] > y_clean[2].abs());
-        // Untouched columns are unaffected.
-        assert_eq!(y_faulty[0], y_clean[0]);
-        assert_eq!(y_faulty[3], y_clean[3]);
     }
 
     #[test]

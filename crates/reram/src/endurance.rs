@@ -1,18 +1,13 @@
 //! ReRAM write-endurance accounting.
 //!
-//! The paper justifies its SRAM Weight Manager by endurance: "SRAM can
-//! write 10^16 times while ReRAM can write 10^8 times during their
-//! lifetime" (§IV-A(3)). The same arithmetic makes ISU's write
-//! reduction a *lifetime* feature, not just a latency one: the array
-//! wears out at its most-rewritten cell, and both selective updating
-//! (fewer writes) and interleaved mapping (no hot crossbar) push the
-//! first-failure horizon out. This module quantifies that.
+//! ReRAM cells survive about 10^8 writes (§IV-A(3)), which makes ISU's
+//! write reduction a *lifetime* feature, not just a latency one: the
+//! array wears out at its most-rewritten cell, and both selective
+//! updating (fewer writes) and interleaved mapping (no hot crossbar)
+//! push the first-failure horizon out. This module quantifies that.
 
 /// ReRAM cell write endurance (10^8 writes, §IV-A(3)).
 pub const RERAM_ENDURANCE_WRITES: f64 = 1e8;
-
-/// SRAM cell write endurance (10^16 writes).
-pub const SRAM_ENDURANCE_WRITES: f64 = 1e16;
 
 /// Write-wear profile of a training configuration, under the standard
 /// intra-crossbar wear-leveling assumption: a crossbar's controller
@@ -64,74 +59,6 @@ impl WearProfile {
     }
 }
 
-/// Per-group integer write counters for long fault campaigns.
-///
-/// The analytic [`WearProfile`] projects lifetimes from per-epoch
-/// rates; campaigns instead *accumulate* concrete write counts over
-/// simulated epochs and kill a group the moment its counter crosses
-/// the budget. Counters use `u32::saturating_add` — a long campaign
-/// against a small budget must pin at `u32::MAX`, not wrap around to
-/// a small value and resurrect a worn-out group (see the boundary
-/// regression test).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WearCounters {
-    writes: Vec<u32>,
-    budget: u32,
-}
-
-impl WearCounters {
-    /// Counters for `groups` crossbar groups that each tolerate
-    /// `budget` row writes before wearing out.
-    pub fn new(groups: usize, budget: u32) -> Self {
-        WearCounters {
-            writes: vec![0; groups],
-            budget,
-        }
-    }
-
-    /// Records `rows` row writes against `group`, saturating at
-    /// `u32::MAX` rather than wrapping.
-    pub fn record(&mut self, group: usize, rows: u32) {
-        if let Some(w) = self.writes.get_mut(group) {
-            *w = w.saturating_add(rows);
-        }
-    }
-
-    /// Accumulated writes of `group`.
-    pub fn writes(&self, group: usize) -> u32 {
-        self.writes.get(group).copied().unwrap_or(0)
-    }
-
-    /// The per-group write budget.
-    pub fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    /// Whether `group` has exhausted its budget.
-    pub fn exhausted(&self, group: usize) -> bool {
-        self.writes(group) >= self.budget
-    }
-
-    /// Groups whose budget is exhausted, ascending.
-    pub fn exhausted_groups(&self) -> Vec<u32> {
-        self.writes
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w >= self.budget)
-            .map(|(g, _)| g as u32)
-            .collect()
-    }
-}
-
-/// Lifetime of an SRAM structure rewritten `writes_per_epoch` times per
-/// epoch, in epochs — the Weight Manager justification.
-pub fn sram_lifetime_epochs(writes_per_epoch: f64) -> f64 {
-    if writes_per_epoch <= 0.0 {
-        return f64::INFINITY;
-    }
-    SRAM_ENDURANCE_WRITES / writes_per_epoch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,46 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn sram_outlives_reram_by_eight_orders() {
-        // One weight rewrite per epoch.
-        let sram = sram_lifetime_epochs(1.0);
-        let reram = WearProfile::from_group_rows(&[64.0], 64).lifetime_epochs();
-        assert!((sram / reram - 1e8).abs() / 1e8 < 1e-9);
-    }
-
-    #[test]
-    fn wear_counters_saturate_at_the_u32_boundary() {
-        // Regression: a wrapping counter would roll over to 99 here,
-        // drop below the budget, and resurrect a worn-out group.
-        let mut w = WearCounters::new(2, 1000);
-        w.record(0, u32::MAX - 100);
-        assert!(w.exhausted(0));
-        w.record(0, 200); // would wrap; must pin at MAX
-        assert_eq!(w.writes(0), u32::MAX);
-        assert!(w.exhausted(0), "saturation must not resurrect a group");
-        w.record(0, u32::MAX);
-        assert_eq!(w.writes(0), u32::MAX);
-        assert_eq!(w.exhausted_groups(), vec![0]);
-        assert!(!w.exhausted(1));
-    }
-
-    #[test]
-    fn wear_counters_cross_the_budget_exactly_once() {
-        let mut w = WearCounters::new(1, 64);
-        w.record(0, 63);
-        assert!(!w.exhausted(0));
-        w.record(0, 1);
-        assert!(w.exhausted(0));
-        assert_eq!(w.writes(0), 64);
-        // Out-of-range groups are ignored, not panics.
-        w.record(9, 5);
-        assert_eq!(w.writes(9), 0);
-    }
-
-    #[test]
     fn zero_writes_mean_infinite_lifetime() {
         let idle = WearProfile::from_group_rows(&[0.0], 64);
         assert!(idle.lifetime_epochs().is_infinite());
-        assert!(sram_lifetime_epochs(0.0).is_infinite());
     }
 }

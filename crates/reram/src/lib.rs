@@ -16,7 +16,6 @@
 //! - [`crossbar`]: a *functional* crossbar that performs bit-sliced,
 //!   ADC-quantized MVM — used to validate that the analog dataflow
 //!   computes correct numerics.
-//! - [`chip`]: whole-chip resource accounting (16,777,216 crossbars).
 //!
 //! # Example
 //!
@@ -33,17 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod chip;
 pub mod crossbar;
 pub mod endurance;
 pub mod energy;
-pub mod health;
 pub mod noc;
 pub mod spec;
 pub mod tiled;
 pub mod tiling;
 pub mod timing;
-pub mod weight_manager;
 
-pub use chip::ChipResources;
 pub use spec::AcceleratorSpec;

@@ -3,7 +3,7 @@
 use gopim_reram::crossbar::FunctionalCrossbar;
 use gopim_reram::energy::EnergyModel;
 use gopim_reram::spec::AcceleratorSpec;
-use gopim_reram::{tiling, timing, ChipResources};
+use gopim_reram::{tiling, timing};
 use gopim_testkit::prop::{check_with, Config};
 
 #[test]
@@ -88,30 +88,6 @@ fn bulk_write_is_monotone() {
         assert!(b >= a);
         let c = timing::bulk_write_ns(&spec, rows, max1 + 1);
         assert!(c >= a);
-    });
-}
-
-#[test]
-fn chip_ledger_is_consistent() {
-    check_with("chip_ledger_is_consistent", Config::cases(48), |d| {
-        let ops = d.vec("ops", 1usize..50, |d| {
-            (d.any_bool("is_reserve"), d.draw("n", 1usize..100))
-        });
-        let mut chip = ChipResources::with_budget(1000);
-        let mut model = 0usize;
-        for (is_reserve, n) in ops {
-            if is_reserve {
-                if chip.reserve(n).is_ok() {
-                    model += n;
-                }
-            } else {
-                let release = n.min(model);
-                chip.release(release);
-                model -= release;
-            }
-            assert_eq!(chip.used(), model);
-            assert_eq!(chip.unused(), 1000 - model);
-        }
     });
 }
 

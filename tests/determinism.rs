@@ -108,7 +108,7 @@ fn different_seeds_produce_different_workloads() {
 fn thread_count_never_changes_any_bits() {
     use gopim::runner::{run_system, RunConfig};
     use gopim::system::System;
-    use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
+    use gopim_gcn::aggregate::NormalizedAdjacency;
     use gopim_gcn::train::{train_gcn, TrainOptions};
     use gopim_graph::generate::planted_partition;
     use gopim_graph::CsrGraph;
@@ -132,11 +132,10 @@ fn thread_count_never_changes_any_bits() {
         let narrow = Matrix::from_vec(29, 2, (0..58).map(|i| ((i as f64) * 0.19).sin()).collect());
         let mut mm = bits(&a.matmul(&wide));
         mm.extend(bits(&a.matmul(&narrow)));
-        // Sparse propagation (both operators).
+        // Sparse propagation.
         let g = CsrGraph::from_edges(40, &(0..39).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let x = Matrix::from_vec(40, 6, (0..240).map(|i| ((i as f64) * 0.43).sin()).collect());
-        let mut prop = bits(&NormalizedAdjacency::new(&g).propagate(&g, &x));
-        prop.extend(bits(&MeanAggregator::new().propagate(&g, &x)));
+        let prop = bits(&NormalizedAdjacency::new(&g).apply(&g, &x));
         // A fanned-out DES sweep.
         let config = RunConfig {
             crossbar_budget: Some(200_000),

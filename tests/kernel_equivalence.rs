@@ -20,7 +20,7 @@
 //! build flags never change.
 
 use gopim_faults::{FaultConfig, FaultPlan, FaultSession, MitigationPolicy, SessionConfig};
-use gopim_gcn::aggregate::{MeanAggregator, NormalizedAdjacency, Propagation};
+use gopim_gcn::aggregate::NormalizedAdjacency;
 use gopim_graph::datasets::ModelConfig;
 use gopim_graph::generate::power_law_profile;
 use gopim_graph::CsrGraph;
@@ -231,12 +231,12 @@ fn matmul_tn_matches_the_materialised_transpose_bitwise() {
 }
 
 /// The backward pass as it stood before row-sparse epochs: the full
-/// `Pᵀ·δ` with the stale rows zeroed afterwards, `Xᵀ` materialised for
-/// `∇W`, and `δ·Wᵀ` over every row.
+/// `Âᵀ·δ = Â·δ` with the stale rows zeroed afterwards, `Xᵀ`
+/// materialised for `∇W`, and `δ·Wᵀ` over every row.
 fn dense_gradients(
     model: &gopim_gcn::GcnModel,
     graph: &CsrGraph,
-    prop: &dyn Propagation,
+    adj: &NormalizedAdjacency,
     caches: &gopim_gcn::model::ForwardCaches,
     mut delta: Matrix,
 ) -> Vec<Matrix> {
@@ -246,7 +246,7 @@ fn dense_gradients(
         if l != layers - 1 {
             gopim_linalg::ops::hadamard_relu_grad_in_place(&mut delta, caches.pre_activation(l));
         }
-        let mut d_combined = prop.propagate_transpose(graph, &delta);
+        let mut d_combined = adj.apply(graph, &delta);
         for v in 0..graph.num_vertices() {
             if !caches.fresh_rows(l).contains(&v) {
                 d_combined.row_mut(v).fill(0.0);
@@ -283,49 +283,44 @@ fn row_sparse_gradients_match_the_dense_backward_pass_bitwise() {
     let important = policy.important_vertices(&graph.to_degree_profile());
     assert!(!important[60] && !important[61] && !important[62]);
     let delta = Matrix::from_vec(63, 3, (0..63 * 3).map(|_| vals.next() / 1000.0).collect());
-    for prop in [
-        &NormalizedAdjacency::new(&graph) as &dyn Propagation,
-        &MeanAggregator::new() as &dyn Propagation,
-    ] {
-        // A finite model, then ones whose hidden-to-output weights
-        // hold an `inf` or a NaN, which make every row of `δ·Wᵀ`
-        // count (see the next test for a graph where that shows).
-        for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
-            let mut weights = GcnModel::new(&[6, 8, 8, 3], 0.02, 5).weights().to_vec();
-            if let Some(p) = poison {
-                weights[2][(1, 1)] = p;
-            }
-            let model = GcnModel::from_weights(weights, 0.02);
-            let mut cache = StaleFeatureCache::new(3, important.clone(), policy);
-            let warm = model.forward_with_caches(&graph, prop, &x, Some(&mut cache), 0);
-            model.recycle_caches(warm);
-            let caches = model.forward_with_caches(&graph, prop, &x, Some(&mut cache), 1);
-            assert!(
-                (0..3).all(|l| caches.fresh_rows(l).len() < 63),
-                "epoch 1 must serve stale rows"
-            );
-            let expect: Vec<Vec<u64>> =
-                dense_gradients(&model, &graph, prop, &caches, delta.clone())
-                    .iter()
-                    .map(canonical_bits)
-                    .collect();
-            assert!(
-                expect[0].iter().any(|&b| f64::from_bits(b).is_nan()),
-                "the stale inf/NaN input rows must reach the first layer's ∇W"
-            );
-            let (on, off) = with_both_paths(|| {
-                model
-                    .gradients(&graph, prop, &caches, delta.clone())
-                    .iter()
-                    .map(canonical_bits)
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(
-                on, expect,
-                "row-sparse gradients diverged (W poisoned with {poison:?})"
-            );
-            assert_eq!(off, expect, "scalar row-sparse gradients diverged");
+    let adj = NormalizedAdjacency::new(&graph);
+    // A finite model, then ones whose hidden-to-output weights
+    // hold an `inf` or a NaN, which make every row of `δ·Wᵀ`
+    // count (see the next test for a graph where that shows).
+    for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+        let mut weights = GcnModel::new(&[6, 8, 8, 3], 0.02, 5).weights().to_vec();
+        if let Some(p) = poison {
+            weights[2][(1, 1)] = p;
         }
+        let model = GcnModel::from_weights(weights, 0.02);
+        let mut cache = StaleFeatureCache::new(3, important.clone(), policy);
+        let warm = model.forward_with_caches(&graph, &adj, &x, Some(&mut cache), 0);
+        model.recycle_caches(warm);
+        let caches = model.forward_with_caches(&graph, &adj, &x, Some(&mut cache), 1);
+        assert!(
+            (0..3).all(|l| caches.fresh_rows(l).len() < 63),
+            "epoch 1 must serve stale rows"
+        );
+        let expect: Vec<Vec<u64>> = dense_gradients(&model, &graph, &adj, &caches, delta.clone())
+            .iter()
+            .map(canonical_bits)
+            .collect();
+        assert!(
+            expect[0].iter().any(|&b| f64::from_bits(b).is_nan()),
+            "the stale inf/NaN input rows must reach the first layer's ∇W"
+        );
+        let (on, off) = with_both_paths(|| {
+            model
+                .gradients(&graph, &adj, &caches, delta.clone())
+                .iter()
+                .map(canonical_bits)
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            on, expect,
+            "row-sparse gradients diverged (W poisoned with {poison:?})"
+        );
+        assert_eq!(off, expect, "scalar row-sparse gradients diverged");
     }
 }
 
@@ -616,29 +611,13 @@ fn aggregation_is_bit_identical_across_simd_paths_and_thread_counts() {
             let graph = CsrGraph::from_edges(n, &edges);
             let x = vals.matrix(n, d_feat);
             let norm = NormalizedAdjacency::new(&graph);
-            let mean = MeanAggregator::new();
             let pool = Pool::new(threads);
-            let run = |p: &dyn Propagation| {
-                with_both_paths(|| {
-                    pool.install(|| (p.propagate(&graph, &x), p.propagate_transpose(&graph, &x)))
-                })
-            };
-            for (name, p) in [
-                ("normalized", &norm as &dyn Propagation),
-                ("mean", &mean as &dyn Propagation),
-            ] {
-                let (on, off) = run(p);
-                assert_eq!(
-                    bits(&on.0),
-                    bits(&off.0),
-                    "{name} propagate bits diverged (n={n}, d={d_feat})"
-                );
-                assert_eq!(
-                    bits(&on.1),
-                    bits(&off.1),
-                    "{name} propagate_transpose bits diverged (n={n}, d={d_feat})"
-                );
-            }
+            let (on, off) = with_both_paths(|| pool.install(|| norm.apply(&graph, &x)));
+            assert_eq!(
+                bits(&on),
+                bits(&off),
+                "Â·X bits diverged (n={n}, d={d_feat})"
+            );
         },
     );
 }

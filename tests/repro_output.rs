@@ -59,6 +59,9 @@ fn usage_errors_exit_2_and_print_nothing_on_stdout() {
         &["repro"],
         &["repro", "fig04", "--budget", "--quick"],
         &["loadgen", "--jobs", "many"],
+        &["datasets", "--bogus"],
+        &["compare", "cora", "64", "junk"],
+        &["gantt", "cora", "GoPIM", "64", "--oops"],
     ] {
         let out = gopim(args);
         assert_eq!(out.status.code(), Some(2), "gopim {args:?}");

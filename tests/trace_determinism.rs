@@ -9,7 +9,7 @@
 
 use gopim::runner::{run_system, RunConfig};
 use gopim::system::System;
-use gopim_gcn::aggregate::{NormalizedAdjacency, Propagation};
+use gopim_gcn::aggregate::NormalizedAdjacency;
 use gopim_graph::datasets::Dataset;
 use gopim_graph::CsrGraph;
 use gopim_linalg::Matrix;
@@ -41,7 +41,7 @@ fn traced_identities(threads: usize) -> Vec<String> {
         let graph = CsrGraph::from_edges(n as usize, &edges);
         let adj = NormalizedAdjacency::new(&graph);
         let x = Matrix::from_vec(n as usize, 8, vec![0.5; n as usize * 8]);
-        std::hint::black_box(adj.propagate(&graph, &x));
+        std::hint::black_box(adj.apply(&graph, &x));
         // A workload build outside the runner's memos, so both legs
         // record it: GoPIM's interleaved mapping and ISU rank ddi.
         let profile = Dataset::Ddi.profile(7);
